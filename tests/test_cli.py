@@ -1,7 +1,9 @@
 """Command-line behavior: formats, exit codes, determinism."""
+import hashlib
+
 import pytest
 
-from treegray import Delta, apply_delta, parse_tree
+from treegray import Delta, apply_delta, build_family_tree, export_dot, parse_tree
 from treegray.cli import main
 
 
@@ -76,6 +78,58 @@ def test_gen_deterministic(capsys):
     _, second, _ = run(capsys, "gen", "--n", "8")
     assert first == second
 
+
+# SHA-256 of `gen --n N --format F` output for N = 2..11, in order, and of
+# export_dot(build_family_tree(8)).  Any change to the order breaks these.
+GEN_DIGESTS = {
+    "levels": [
+        "52186c933993da4082b3cdc7c40bb4bf735b391ff54a2ef78c037dda6c38a680",  # n=2
+        "fc5eae3983efae9202d070ae4cc040d6834695c753d7940f2c300dae325f827d",  # n=3
+        "f351941799cfa69137aa14e8cf21d8306b43b2f499f7d688ac188dc03eef9546",  # n=4
+        "1daa2220aec239ff915f2c2922062b542b58a938bb0bdb7dd410ca0036f009cc",  # n=5
+        "24b40e6902838f2f39da508615e1b1d8b02825744f99cae9771dea315dd0511f",  # n=6
+        "cfd776fc1174651bb698aca77ca9980963ba7d2f8d4c727cdfd10e314ccefb17",  # n=7
+        "a875e9067f629c300a446fdd94589ff5cf583cc758f422c8e3a1797ecbc25915",  # n=8
+        "7a786cea71ad83385b1cd3356cbc46004939c93f922108bc8b0226bdf049a0ef",  # n=9
+        "7d3899433d7d7fad91d3c94a371eda3a3b2083724e75e79da045bfcaae27a80a",  # n=10
+        "4c395870d5f15d9660e07d2b6629fa023990c2a196ae6bc70fa80f230a336950",  # n=11
+    ],
+    "parens": [
+        "2193f30a1cf467b88b081bfe8a093c73ab4e46d3350d1e1d1cb841e655276d41",  # n=2
+        "9ea5942d6e9197d61bb37ed49bf2bf3139abd21e1c6ba62c426a60da4cdbb0c9",  # n=3
+        "88187a4a23021116f52526e8b6249b0c1fbc74855cb4ac80bb0c475f2c2690c5",  # n=4
+        "5195f922ec2b345484a928267cdaf2996e65471ed1110f4a9b5a46039ab2034d",  # n=5
+        "ae2e18f52b274fe91fef97b3985179900f84ac2b70e51941220329ec21b83a26",  # n=6
+        "edb2d9eb834fb6dbe27efbb219d688f95ceb5ea51e5ac0326af64901a93d2a47",  # n=7
+        "58013ed94d15df32d227dae6ca5b5bac437d81e32db8313f386dfd7c2ea20342",  # n=8
+        "8a20d0aa993a1799a0c6fe67aaed6232f31d4dc919d4363c947a57786d723ad6",  # n=9
+        "7569edb449b09059f410ce63472709ad62f69f95f3c1125d90781b650344b68e",  # n=10
+        "ebb8997ba8a7d30b5a9470c43c40d57a9b9f42f66183ef21667b17b80ac9efdc",  # n=11
+    ],
+    "delta": [
+        "52186c933993da4082b3cdc7c40bb4bf735b391ff54a2ef78c037dda6c38a680",  # n=2
+        "4540c96222b650c6acd71dba2ac77471baef4315679378572f495893bf72a717",  # n=3
+        "f6771cad4fbec66a6943382ce1e06a2ba0530d06fd6db2195d713b029b52d68c",  # n=4
+        "56746bc0b22bf6931ed68657cf12b5f7506f4553d585f88fa9e2266dcf29398d",  # n=5
+        "c366d3c4da1f3016e7283617566c31021da7e385c33a1e9c47a215e8740df207",  # n=6
+        "664532a9790129142089cf149c503133d34704ead1b62dac3bb1eb139182b9c0",  # n=7
+        "fb68982b0c83935122425a32c34c14dc19311a755000f88f87479ff6934a9d64",  # n=8
+        "54914d054cdde340d08ea6c14e19548cc5803be26d53b9c7606b921ccb940206",  # n=9
+        "eba0524fd467f0bec2f62e30ef97766bc79a8b2c28d8e2012bc13c28f05bd57a",  # n=10
+        "8feaac19acb59e8d787d2055b1f14597f831cb6c5a17d9bd903c77836737a87e",  # n=11
+    ],
+}
+DOT8_DIGEST = "9e351cff3f736a947b09c2b972d0ff16b34f823f65d711645ccc575f02218cf5"
+
+
+def test_output_digests_pinned(capsys):
+    for fmt, digests in GEN_DIGESTS.items():
+        for n, want in enumerate(digests, start=2):
+            code, out, _ = run(capsys, "gen", "--n", str(n), "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode("ascii")).hexdigest() == want, (fmt, n)
+    dot = export_dot(build_family_tree(8)).encode("ascii")
+    assert hashlib.sha256(dot).hexdigest() == DOT8_DIGEST
 
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "--n", "13")
