@@ -27,13 +27,8 @@ from .ordering import (
     Case,
     CaseExhaustionError,
     ForbiddenCaseError,
-    StepDecision,
     check_co1,
-    check_co2,
-    classify,
-    finalize_last,
     format_case_histogram,
-    step,
 )
 from .generator import (
     FAMILY_TREE_CAP,
@@ -70,28 +65,23 @@ __all__ = [
     "LevelSet",
     "NotAdjacentError",
     "OrderedTree",
-    "StepDecision",
     "StreamStats",
     "VerificationReport",
     "apply_delta",
     "build_family_tree",
     "catalan",
     "check_co1",
-    "check_co2",
-    "classify",
     "decode_parens",
     "delta",
     "delta_stream",
     "encode_parens",
     "enumerate_all",
     "export_dot",
-    "finalize_last",
     "format_case_histogram",
     "gray_code",
     "has_pony_tail",
     "is_adjacent",
     "is_copying",
     "parse_tree",
-    "step",
     "verify",
 ]

@@ -8,12 +8,15 @@ the final tree's children are ordered by decreasing rightmost-path length.
 Only the current/lookahead pair of each level is retained, so the whole stack
 holds O(n) trees no matter how many it emits.
 
-A separate eager path materializes the full family tree (every tree of sizes
-1..n with ordered child lists) for DOT export and cross-checks; it is capped
-because level sizes grow like Catalan numbers.
+The full family tree (every tree of sizes 1..n with ordered child lists) is
+assembled from the same per-level streams for DOT export and cross-checks:
+level k+1 read in order is the concatenation of the child blocks of level k.
+It is eager and therefore capped, because level sizes grow like Catalan
+numbers.
 """
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -192,27 +195,15 @@ def build_family_tree(n: int, cap: int = FAMILY_TREE_CAP) -> FamilyTree:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > cap:
         raise ValueError(f"cap exceeded: n={n} is above the cap of {cap}")
-    levels: list[tuple[OrderedTree, ...]] = [(OrderedTree._trusted((1,)),)]
-    children: dict[OrderedTree, tuple[OrderedTree, ...]] = {}
-    for k in range(1, n):
-        row = levels[k - 1]
-        lm = 1
-        for idx, cur in enumerate(row):
-            if idx + 1 < len(row):
-                nxt = row[idx + 1]
-                case, order, nl = plan_step(cur, nxt, lm)
-                if case in FORBIDDEN_CASES:
-                    raise ForbiddenCaseError(
-                        f"forbidden case {case} at level {k}: {cur} -> {nxt}"
-                    )
-                children[cur] = tuple(cur.child(i) for i in order)
-                lm = nl
-            else:
-                children[cur] = tuple(cur.child(i) for i in plan_last(cur, lm))
-        levels.append(tuple(c for t in row for c in children[t]))
-    for t in levels[n - 1]:
-        children[t] = ()
-    return FamilyTree(n, tuple(levels), children)
+    levels = tuple(tuple(gray_code(k, checked=False)) for k in range(1, n + 1))
+    children: dict[OrderedTree, tuple[OrderedTree, ...]] = {
+        t: () for level in levels for t in level
+    }
+    # Each level lists the children of each tree below as one contiguous block.
+    for level in levels[1:]:
+        for parent, block in itertools.groupby(level, key=OrderedTree.parent):
+            children[parent] = tuple(block)
+    return FamilyTree(n, levels, children)
 
 
 def export_dot(ft: FamilyTree) -> str:

@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .generator import StreamStats, gray_code
-from .ordering import (
-    FORBIDDEN_CASES,
-    check_co1,
-    format_case_histogram,
-    iter_windows,
-)
+from .ordering import FORBIDDEN_CASES, check_co1, format_case_histogram
 from .relations import is_adjacent
 from .tree import LevelSet, OrderedTree
 
@@ -128,6 +123,19 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+def _windowed(
+    report: VerificationReport, level: int, which: str, trees: Iterable[OrderedTree]
+) -> Iterator[OrderedTree]:
+    """Pass trees through, recording (level, 0-based start, which) for every
+    3-window of consecutive trees that fails check_co1."""
+    a = b = None
+    for pos, c in enumerate(trees):
+        if pos >= 2 and not check_co1(a, b, c):
+            report.invariant_failures.append((level, pos - 2, which))
+        a, b = b, c
+        yield c
+
+
 def _checked_run(
     report: VerificationReport,
     n: int,
@@ -139,10 +147,12 @@ def _checked_run(
 ) -> None:
     seen: set[OrderedTree] = set()
     prev: Optional[OrderedTree] = None
-    window: list[OrderedTree] = []
     pos = 0
+    trees = gray_code(n, checked=True, stats=stats)
+    if want_co2:
+        trees = _windowed(report, n, "co2", trees)
     try:
-        for t in gray_code(n, checked=True, stats=stats):
+        for t in trees:
             if want_unique or want_complete:
                 if t in seen:
                     report.duplicates.append(t)
@@ -150,12 +160,6 @@ def _checked_run(
                     seen.add(t)
             if want_gray and prev is not None and not is_adjacent(prev, t):
                 report.adjacency_failures.append((pos - 1, pos))
-            if want_co2:
-                window.append(t)
-                if len(window) > 3:
-                    window.pop(0)
-                if len(window) == 3 and not check_co1(*window):
-                    report.invariant_failures.append((n, pos - 2, "co2"))
             prev = t
             pos += 1
     except RuntimeError as exc:
@@ -172,9 +176,8 @@ def _co1_sweep(report: VerificationReport, n: int) -> None:
     # is covered by the co2 pass over the main run.
     for k in range(1, n):
         try:
-            for idx, window in iter_windows(gray_code(k, checked=False)):
-                if not check_co1(*window):
-                    report.invariant_failures.append((k, idx, "co1"))
+            for _ in _windowed(report, k, "co1", gray_code(k, checked=False)):
+                pass
         except RuntimeError as exc:
             report.generation_error = f"{type(exc).__name__}: {exc}"
             return

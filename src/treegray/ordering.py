@@ -8,16 +8,21 @@ rightmost-path lengths of the pair, on whether the relevant tree has a
 pony-tail, and on the copying relation between the two; the branch taken is
 reported as a case label so runs can be audited.
 
+plan_step is the one decision tree: each branch returns its label, the child
+order and the next leftmost child together.  plan_last orders the final tree
+of a level.  check_co1 is the window invariant over three consecutive trees
+of one size.
+
 Three branches are unreachable for inputs produced by the generator (3a1,
-3c1_other, 4b3); selecting one is an error, never silently accepted.
+3c1_other, 4b3); selecting one is an error, never silently accepted.  No
+branch returns the label 3c1: it needs mutual copying, which 3b1 takes first.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping
 
-from .relations import has_pony_tail, is_adjacent, is_copying
+from .relations import has_pony_tail, is_copying
 from .tree import OrderedTree
 
 
@@ -67,200 +72,85 @@ class AdjacencyViolationError(RuntimeError):
     """A produced boundary pair failed the adjacency check."""
 
 
-@dataclass(frozen=True)
-class StepDecision:
-    """Outcome of one ordering step.
-
-    children_of_current is the full left-to-right child order of the current
-    tree (its first element is the leftmost child that was passed in);
-    leftmost_of_next seeds the following step.  Children all have distinct
-    rightmost-path lengths, one per index 1..rpl+1.
-    """
-
-    case: Case
-    children_of_current: tuple[OrderedTree, ...]
-    leftmost_of_next: Optional[OrderedTree]
-
-
-def _leftmost_index(t_cur: OrderedTree, leftmost: OrderedTree) -> int:
-    # A child is its parent's sequence plus one entry, so the index is its rpl.
-    i = leftmost.rpl
-    if not (
-        leftmost.size == t_cur.size + 1
-        and 1 <= i <= t_cur.rpl + 1
-        and leftmost.levels[:-1] == t_cur.levels
-    ):
-        raise ValueError(f"{leftmost} is not a child of {t_cur}")
-    return i
-
-
-def _label(t_cur: OrderedTree, t_next: OrderedTree, lm: int) -> Case:
-    """Pick the branch for the pair; subcases are tested in listing order."""
-    r1, r2 = t_cur.rpl, t_next.rpl
-    first = lm == 1
-    if r1 == 1 and r2 == 1:
-        return Case.C1A if first else Case.C1B
-    if r1 == 1:
-        if not has_pony_tail(t_next):
-            return Case.C2A1 if first else Case.C2A2
-        if is_copying(t_cur, t_next):
-            return Case.C2B1 if first else Case.C2B2
-        if is_copying(t_next, t_cur):
-            return Case.C2C1 if first else Case.C2C2
-        raise CaseExhaustionError(
-            f"case exhaustion: no case-2 branch for {t_cur} -> {t_next}"
-        )
-    if r2 == 1:
-        if not has_pony_tail(t_cur):
-            return Case.C3A1 if first else Case.C3A2
-        if is_copying(t_next, t_cur):
-            return Case.C3B1 if first else Case.C3B2
-        if is_copying(t_cur, t_next):
-            # The benign 3c1 variant needs mutual copying, which the branch
-            # above would already have taken.
-            return Case.C3C1_OTHER if first else Case.C3C2
-        raise CaseExhaustionError(
-            f"case exhaustion: no case-3 branch for {t_cur} -> {t_next}"
-        )
-    if first:
-        return Case.C4A1 if r1 <= r2 else Case.C4A2
-    if r1 < r2:
-        return Case.C4B1_LT
-    if r1 == r2:
-        return Case.C4B1_EQ_RPLT if lm == r1 else Case.C4B1_EQ_OTHER
-    return Case.C4B2 if lm != r2 else Case.C4B3
-
-
-def _layout(case: Case, r1: int, r2: int, lm: int) -> tuple[tuple[int, ...], int]:
-    """Child-index order for the current tree and the next leftmost index.
-
-    Middle children fill the gap between the fixed leftmost and the chosen
-    rightmost child: ascending rpl in the 4a branches, descending everywhere
-    else (an index is the child's rpl, so sorting indices sorts rpls).
-    """
-    if case in (Case.C1A, Case.C2A1, Case.C2B1, Case.C2C1):
-        order: tuple[int, ...] = (1, 2)
-    elif case in (Case.C1B, Case.C2A2, Case.C2B2, Case.C2C2):
-        order = (2, 1)
-    elif case in (Case.C3B1, Case.C3C1):
-        order = (1, 3, 2)
-    elif case in (Case.C3A2, Case.C3B2, Case.C3C2):
-        mid = sorted(set(range(2, r1 + 2)) - {lm}, reverse=True)
-        order = (lm, *mid, 1)
-    elif case in (Case.C4A1, Case.C4A2):
-        right = r1 if case is Case.C4A1 else r2
-        mid = sorted(set(range(2, r1 + 2)) - {right})
-        order = (1, *mid, right)
-    else:
-        right = {
-            Case.C4B1_LT: 1,
-            Case.C4B1_EQ_RPLT: r1 + 1,
-            Case.C4B1_EQ_OTHER: r1,
-            Case.C4B2: r2,
-        }[case]
-        mid = sorted(set(range(1, r1 + 2)) - {lm, right}, reverse=True)
-        order = (lm, *mid, right)
-
-    next_leftmost = {
-        Case.C1A: 2,
-        Case.C1B: 1,
-        Case.C2A1: 1,
-        Case.C2A2: 1,
-        Case.C2B1: 2,
-        Case.C2B2: 1,
-        Case.C2C1: 1,
-        Case.C2C2: 1,
-        Case.C3A2: 1,
-        Case.C3B1: 2,
-        Case.C3B2: 1,
-        Case.C3C1: 2,
-        Case.C3C2: 1,
-        Case.C4A1: r1,
-        Case.C4A2: r2,
-        Case.C4B1_LT: r1,
-        Case.C4B1_EQ_RPLT: r1 + 1,
-        Case.C4B1_EQ_OTHER: r1,
-        Case.C4B2: r2,
-    }[case]
-    return order, next_leftmost
+def _descending(top: int, *skip: int) -> list[int]:
+    # Child indices top..1 without those in skip.  An index is the child's
+    # rpl, so this orders children by decreasing rpl.  A list: a tuple built
+    # from a generator is resized as it fills, and that made peak RSS grow
+    # with n.
+    return [i for i in range(top, 0, -1) if i not in skip]
 
 
 def plan_step(
     t_cur: OrderedTree, t_next: OrderedTree, leftmost_index: int
 ) -> tuple[Case, tuple[int, ...], int]:
-    """Index-level step: no trees are materialized and no checks run.
+    """Order the children of t_cur and pick the leftmost child of t_next.
 
-    Returns (case, full child-index order, next leftmost index).  Forbidden
-    labels are returned, not raised, so callers can count them before
-    failing.
+    Returns (case, full child-index order of t_cur, index of t_next's
+    leftmost child); the order starts with leftmost_index.  Subcases are
+    tested in listing order.  No trees are materialized and no checks run.
+    Forbidden labels are returned with an empty order, not raised, so
+    callers can count them before failing.
     """
-    case = _label(t_cur, t_next, leftmost_index)
-    if case in FORBIDDEN_CASES:
-        return case, (), 0
-    order, nl = _layout(case, t_cur.rpl, t_next.rpl, leftmost_index)
-    return case, order, nl
+    r1, r2 = t_cur.rpl, t_next.rpl
+    lm = leftmost_index
+    first = lm == 1
+    if r1 == 1:
+        # Two children: the leftmost one fixes the order.
+        order = (1, 2) if first else (2, 1)
+        if r2 == 1:
+            return (Case.C1A, order, 2) if first else (Case.C1B, order, 1)
+        if not has_pony_tail(t_next):
+            return (Case.C2A1 if first else Case.C2A2), order, 1
+        if is_copying(t_cur, t_next):
+            return (Case.C2B1, order, 2) if first else (Case.C2B2, order, 1)
+        if is_copying(t_next, t_cur):
+            return (Case.C2C1 if first else Case.C2C2), order, 1
+        raise CaseExhaustionError(
+            f"case exhaustion: no case-2 branch for {t_cur} -> {t_next}"
+        )
+    if r2 == 1:
+        if not has_pony_tail(t_cur):
+            case = Case.C3A1 if first else Case.C3A2
+        elif is_copying(t_next, t_cur):
+            if first:
+                return Case.C3B1, (1, 3, 2), 2
+            case = Case.C3B2
+        elif is_copying(t_cur, t_next):
+            # The benign 3c1 variant needs mutual copying, which 3b1 above
+            # has already taken; so no branch returns Case.C3C1.
+            case = Case.C3C1_OTHER if first else Case.C3C2
+        else:
+            raise CaseExhaustionError(
+                f"case exhaustion: no case-3 branch for {t_cur} -> {t_next}"
+            )
+        if first:  # 3a1 or 3c1_other
+            return case, (), 0
+        return case, (lm, *_descending(r1 + 1, lm, 1), 1), 1
+    if first:
+        # Middle children by increasing rpl, the smaller rpl of the pair last.
+        case = Case.C4A1 if r1 <= r2 else Case.C4A2
+        right = min(r1, r2)
+        mid = [i for i in range(2, r1 + 2) if i != right]
+        return case, (1, *mid, right), right
+    if r1 < r2:
+        case, right, nl = Case.C4B1_LT, 1, r1
+    elif r1 == r2:
+        if lm == r1:
+            case, right = Case.C4B1_EQ_RPLT, r1 + 1
+        else:
+            case, right = Case.C4B1_EQ_OTHER, r1
+        nl = right
+    elif lm != r2:
+        case, right, nl = Case.C4B2, r2, r2
+    else:
+        return Case.C4B3, (), 0
+    return case, (lm, *_descending(r1 + 1, lm, right), right), nl
 
 
 def plan_last(t_last: OrderedTree, leftmost_index: int) -> tuple[int, ...]:
     """Child-index order for the final tree of a level: the fixed leftmost,
     then the remaining children by decreasing rpl."""
-    rest = sorted(set(range(1, t_last.rpl + 2)) - {leftmost_index}, reverse=True)
-    return (leftmost_index, *rest)
-
-
-def classify(
-    t_cur: OrderedTree, t_next: OrderedTree, leftmost: OrderedTree
-) -> Case:
-    """Case label for one step.  Raises ForbiddenCaseError for the three
-    never-occur branches and CaseExhaustionError if no condition holds."""
-    if t_cur.size != t_next.size:
-        raise ValueError(f"size mismatch: {t_cur.size} vs {t_next.size}")
-    case = _label(t_cur, t_next, _leftmost_index(t_cur, leftmost))
-    if case in FORBIDDEN_CASES:
-        raise ForbiddenCaseError(
-            f"forbidden case {case} for {t_cur} -> {t_next}, leftmost {leftmost}"
-        )
-    return case
-
-
-def step(
-    t_cur: OrderedTree,
-    t_next: OrderedTree,
-    leftmost: OrderedTree,
-    *,
-    checked: bool = True,
-) -> StepDecision:
-    """Order the children of t_cur and pick the leftmost child of t_next.
-
-    With checked=True the produced boundary pair (last child of t_cur,
-    leftmost child of t_next) is verified to be adjacent.
-    """
-    if t_cur.size != t_next.size:
-        raise ValueError(f"size mismatch: {t_cur.size} vs {t_next.size}")
-    lm = _leftmost_index(t_cur, leftmost)
-    case = _label(t_cur, t_next, lm)
-    if case in FORBIDDEN_CASES:
-        raise ForbiddenCaseError(
-            f"forbidden case {case} for {t_cur} -> {t_next}, leftmost {leftmost}"
-        )
-    order, nl = _layout(case, t_cur.rpl, t_next.rpl, lm)
-    children = tuple(t_cur.child(i) for i in order)
-    nxt_leftmost = t_next.child(nl)
-    if checked and not is_adjacent(children[-1], nxt_leftmost):
-        raise AdjacencyViolationError(
-            f"adjacency violation in case {case}: "
-            f"{children[-1]} vs {nxt_leftmost}"
-        )
-    return StepDecision(case, children, nxt_leftmost)
-
-
-def finalize_last(
-    t_last: OrderedTree, leftmost: OrderedTree
-) -> list[OrderedTree]:
-    """Child order for the last tree of a level: leftmost first, the rest by
-    decreasing rpl."""
-    order = plan_last(t_last, _leftmost_index(t_last, leftmost))
-    return [t_last.child(i) for i in order]
+    return (leftmost_index, *_descending(t_last.rpl + 1, leftmost_index))
 
 
 def check_co1(a: OrderedTree, b: OrderedTree, c: OrderedTree) -> bool:
@@ -284,28 +174,7 @@ def check_co1(a: OrderedTree, b: OrderedTree, c: OrderedTree) -> bool:
     return True
 
 
-def check_co2(window: Sequence[OrderedTree]) -> bool:
-    """Same predicate as check_co1, applied to a 3-window of the level being
-    produced rather than the level driving the steps."""
-    if len(window) != 3:
-        raise ValueError(f"expected a 3-window, got {len(window)} trees")
-    a, b, c = window
-    return check_co1(a, b, c)
-
-
 def format_case_histogram(counts: Mapping[Case, int]) -> str:
     """One line per case label, in declaration order, with its hit count."""
     return "\n".join(f"{case.value:<12s} {counts.get(case, 0)}" for case in Case)
 
-
-def iter_windows(
-    trees: Iterable[OrderedTree],
-) -> Iterable[tuple[int, tuple[OrderedTree, OrderedTree, OrderedTree]]]:
-    """(start index, 3-window) pairs over a tree stream, 0-based."""
-    window: list[OrderedTree] = []
-    for idx, t in enumerate(trees):
-        window.append(t)
-        if len(window) > 3:
-            window.pop(0)
-        if len(window) == 3:
-            yield idx - 2, (window[0], window[1], window[2])

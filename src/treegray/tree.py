@@ -33,9 +33,10 @@ class OrderedTree:
         seq = tuple(levels)
         if not seq:
             raise InvalidLevelSequence("level sequence is empty")
-        if not isinstance(seq[0], int) or seq[0] != 1:
+        root = seq[0]
+        if not isinstance(root, int) or isinstance(root, bool) or root != 1:
             raise InvalidLevelSequence(
-                f"entry 1 must be the root level 1, got {seq[0]!r}"
+                f"entry 1 must be the root level 1, got {root!r}"
             )
         for j in range(1, len(seq)):
             e = seq[j]

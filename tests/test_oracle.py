@@ -1,12 +1,14 @@
 """The brute-force side: enumeration, Catalan counts, verification reports."""
 import pytest
 
+import treegray.oracle
 from treegray import (
     ALL_CHECKS,
     OrderedTree,
     VerificationReport,
     catalan,
     enumerate_all,
+    gray_code,
     verify,
 )
 
@@ -129,3 +131,41 @@ def test_report_fail_states():
     assert "generation error: boom" in VerificationReport(
         **base, generation_error="boom"
     ).render()
+
+
+def _verify_broken_n6(monkeypatch, mutate):
+    # Feed verify a gray_code(6) damaged by mutate; smaller levels stay intact.
+    def broken(k, **kwargs):
+        trees = list(gray_code(k, **kwargs))
+        if k == 6:
+            mutate(trees)
+        return iter(trees)
+
+    monkeypatch.setattr(treegray.oracle, "gray_code", broken)
+    return verify(6)
+
+
+def test_verify_locates_swapped_trees(monkeypatch):
+    def swap(trees):
+        trees[3], trees[18] = trees[18], trees[3]
+
+    report = _verify_broken_n6(monkeypatch, swap)
+    assert not report.passed
+    assert report.total == 42
+    assert report.adjacency_failures == [(2, 3), (3, 4), (17, 18), (18, 19)]
+    assert report.invariant_failures == [(6, 1, "co2"), (6, 16, "co2"), (6, 18, "co2")]
+    assert report.duplicates == [] and report.missing == []
+    assert report.generation_error is None
+
+
+def test_verify_locates_repeated_tree(monkeypatch):
+    def repeat(trees):
+        trees[18] = trees[0]
+
+    report = _verify_broken_n6(monkeypatch, repeat)
+    assert not report.passed
+    assert report.total == 42
+    assert report.adjacency_failures == [(17, 18), (18, 19)]
+    assert report.invariant_failures == [(6, 16, "co2"), (6, 18, "co2")]
+    assert report.duplicates == [OrderedTree([1, 2, 2, 2, 2, 2])]
+    assert report.missing == [OrderedTree([1, 2, 3, 3, 3, 3])]

@@ -3,21 +3,19 @@ import itertools
 
 import pytest
 
+import treegray.generator
 from treegray import (
-    AdjacencyViolationError,
     Case,
     FORBIDDEN_CASES,
     ForbiddenCaseError,
     OrderedTree,
     check_co1,
-    check_co2,
-    classify,
-    finalize_last,
     format_case_histogram,
     gray_code,
     is_adjacent,
-    step,
+    verify,
 )
+from treegray.ordering import plan_last, plan_step
 
 
 T = lambda *levels: OrderedTree(levels)
@@ -30,42 +28,35 @@ def test_case_labels_complete():
 
 
 def test_classify_examples():
-    assert classify(T(1, 2, 2), T(1, 2, 3), T(1, 2, 2, 2)) is Case.C2B1
-    assert classify(T(1, 2, 3, 4), T(1, 2, 3, 3), T(1, 2, 3, 4, 2)) is Case.C4A2
+    assert plan_step(T(1, 2, 2), T(1, 2, 3), 1)[0] is Case.C2B1
+    assert plan_step(T(1, 2, 3, 4), T(1, 2, 3, 3), 1)[0] is Case.C4A2
     # Mutual copying resolves to 3b1: subcases are tried in listing order.
-    assert classify(T(1, 2, 3), T(1, 2, 2), T(1, 2, 3, 2)) is Case.C3B1
-    assert classify(T(1, 2, 2, 2), T(1, 2, 3, 2), T(1, 2, 2, 2, 3)) is Case.C1B
+    assert plan_step(T(1, 2, 3), T(1, 2, 2), 1)[0] is Case.C3B1
+    assert plan_step(T(1, 2, 2, 2), T(1, 2, 3, 2), 2)[0] is Case.C1B
 
 
-def test_classify_forbidden_raises():
-    t = T(1, 2, 3, 3)
-    with pytest.raises(ForbiddenCaseError):
-        classify(t, T(1, 2, 3, 2), t.child(1))  # 3a1
-    u = T(1, 2, 3, 4)
-    with pytest.raises(ForbiddenCaseError):
-        classify(u, T(1, 2, 3, 3), u.child(2))  # 4b3
-
-
-def test_classify_validates_inputs():
-    with pytest.raises(ValueError):
-        classify(T(1, 2), T(1, 2, 2), T(1, 2, 2))
-    with pytest.raises(ValueError):
-        classify(T(1, 2, 2), T(1, 2, 3), T(1, 2, 3, 2))  # not a child of T_i
+def test_classify_forbidden_raises(monkeypatch):
+    # Forbidden labels come back with an empty order for the caller to count.
+    assert plan_step(T(1, 2, 3, 3), T(1, 2, 3, 2), 1) == (Case.C3A1, (), 0)
+    assert plan_step(T(1, 2, 3, 4), T(1, 2, 3, 3), 2) == (Case.C4B3, (), 0)
+    monkeypatch.setattr(
+        treegray.generator, "plan_step", lambda *args: (Case.C4B3, (), 0)
+    )
+    with pytest.raises(ForbiddenCaseError, match="4b3"):
+        list(gray_code(5))
+    report = verify(5)
+    assert not report.passed
+    assert report.forbidden_case_hits == 1
+    assert report.case_histogram[Case.C4B3] == 1
+    assert report.generation_error.startswith("ForbiddenCaseError")
 
 
 def test_step_case_2b1_example():
-    d = step(T(1, 2, 2), T(1, 2, 3), T(1, 2, 2, 2))
-    assert d.case is Case.C2B1
-    assert d.children_of_current == (T(1, 2, 2, 2), T(1, 2, 2, 3))
-    assert d.leftmost_of_next == T(1, 2, 3, 3)
+    assert plan_step(T(1, 2, 2), T(1, 2, 3), 1) == (Case.C2B1, (1, 2), 2)
 
 
 def test_step_case_1b_orders_leftmost_first():
-    cur, nxt = T(1, 2, 2, 2), T(1, 2, 3, 2)
-    d = step(cur, nxt, cur.child(2))
-    assert d.case is Case.C1B
-    assert d.children_of_current == (cur.child(2), cur.child(1))
-    assert d.leftmost_of_next == nxt.child(1)
+    assert plan_step(T(1, 2, 2, 2), T(1, 2, 3, 2), 2) == (Case.C1B, (2, 1), 1)
 
 
 def test_step_decision_invariants_over_full_runs():
@@ -74,40 +65,30 @@ def test_step_decision_invariants_over_full_runs():
         trees = list(gray_code(n))
         leftmost = trees[0].child(1)
         for cur, nxt in itertools.pairwise(trees):
-            d = step(cur, nxt, leftmost)
-            assert d.case not in FORBIDDEN_CASES
-            assert d.children_of_current[0] == leftmost
-            assert set(d.children_of_current) == set(cur.children())
-            assert is_adjacent(d.children_of_current[-1], d.leftmost_of_next)
+            case, order, nl = plan_step(cur, nxt, leftmost.rpl)
+            children = [cur.child(i) for i in order]
+            leftmost_of_next = nxt.child(nl)
+            assert case not in FORBIDDEN_CASES
+            assert children[0] == leftmost
+            assert set(children) == set(cur.children())
+            assert is_adjacent(children[-1], leftmost_of_next)
             # With three or more children the natural-order child 1 never
             # lands in the second position.
             if cur.rpl >= 3:
-                assert d.children_of_current[1] != cur.child(1)
-            rpls = [c.rpl for c in d.children_of_current]
+                assert children[1] != cur.child(1)
+            rpls = [c.rpl for c in children]
             assert sorted(rpls) == list(range(1, cur.rpl + 2))
-            leftmost = d.leftmost_of_next
-
-
-def test_step_checked_flag():
-    d = step(T(1, 2, 2), T(1, 2, 3), T(1, 2, 2, 2), checked=False)
-    assert d.case is Case.C2B1
+            leftmost = leftmost_of_next
 
 
 def test_finalize_last_examples():
-    assert finalize_last(T(1, 2, 3), T(1, 2, 3, 3)) == [
-        T(1, 2, 3, 3),
-        T(1, 2, 3, 4),
-        T(1, 2, 3, 2),
-    ]
-    assert finalize_last(T(1, 2), T(1, 2, 2)) == [T(1, 2, 2), T(1, 2, 3)]
-    assert finalize_last(T(1), T(1, 2)) == [T(1, 2)]
+    assert plan_last(T(1, 2, 3), 2) == (2, 3, 1)
+    assert plan_last(T(1, 2), 1) == (1, 2)
+    assert plan_last(T(1), 1) == (1,)
 
 
 def test_finalize_last_decreasing_rpl_tail():
-    t = T(1, 2, 3, 4)
-    out = finalize_last(t, t.child(2))
-    assert out[0] == t.child(2)
-    assert [c.rpl for c in out[1:]] == [4, 3, 1]
+    assert plan_last(T(1, 2, 3, 4), 2) == (2, 4, 3, 1)
 
 
 def test_check_co1_examples():
@@ -122,14 +103,6 @@ def test_check_co1_examples():
 def test_check_co1_requires_same_size():
     with pytest.raises(ValueError):
         check_co1(T(1, 2), T(1, 2, 2), T(1, 2, 3))
-
-
-def test_check_co2_window():
-    window = [T(1, 2, 2, 3), T(1, 2, 2, 2), T(1, 2, 3, 3)]
-    assert check_co2(window)
-    assert not check_co2([T(1, 2, 2, 3), T(1, 2, 3, 4), T(1, 2, 3, 3)])
-    with pytest.raises(ValueError):
-        check_co2(window[:2])
 
 
 def test_format_case_histogram_shape():

@@ -55,6 +55,8 @@ def test_non_integer_entries_rejected():
     with pytest.raises(InvalidLevelSequence):
         OrderedTree([1, True])
     with pytest.raises(InvalidLevelSequence):
+        OrderedTree([True, 2])
+    with pytest.raises(InvalidLevelSequence):
         OrderedTree(["1", "2"])
 
 
