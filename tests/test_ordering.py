@@ -15,6 +15,7 @@ from treegray import (
     is_adjacent,
     verify,
 )
+from treegray.oracle import VerificationReport, _windowed
 from treegray.ordering import plan_last, plan_step
 
 
@@ -103,6 +104,22 @@ def test_check_co1_examples():
 def test_check_co1_requires_same_size():
     with pytest.raises(ValueError):
         check_co1(T(1, 2), T(1, 2, 2), T(1, 2, 3))
+
+
+def test_check_co2_window():
+    # CO2 is check_co1 over every 3-window of the level being produced.
+    def co2_failures(trees):
+        report = VerificationReport(n=4, checks=("co2",))
+        assert list(_windowed(report, 4, "co2", trees)) == trees
+        return report.invariant_failures
+
+    window = [T(1, 2, 2, 3), T(1, 2, 2, 2), T(1, 2, 3, 3)]
+    assert co2_failures(window) == []
+    assert co2_failures([T(1, 2, 2, 3), T(1, 2, 3, 4), T(1, 2, 3, 3)]) == [
+        (4, 0, "co2")
+    ]
+    # Fewer than three trees form no window, so nothing is checked.
+    assert co2_failures([T(1, 2, 2, 3), T(1, 2, 3, 4)]) == []
 
 
 def test_format_case_histogram_shape():
