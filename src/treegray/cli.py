@@ -49,7 +49,10 @@ def _nonnegative_int(text: str) -> int:
 def _open_output(path: Optional[str]):
     if path is None or path == "-":
         return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="ascii")
+    try:
+        return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        raise ValueError(f"cannot open {path}: {exc.strerror}") from None
 
 
 def _warn_cap_override(n: int, default_cap: int) -> int:

@@ -10,7 +10,7 @@ leaf and then deleting some other leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .tree import OrderedTree
 
@@ -59,35 +59,30 @@ def has_pony_tail(tree: OrderedTree) -> bool:
 
 
 def _removable(levels: tuple[int, ...]) -> Iterator[int]:
-    """0-based positions of leaves, ascending.  The root is never removable."""
+    """0-based positions of leaves, rightmost first.  The root is never removable."""
     last = len(levels) - 1
-    for j in range(1, len(levels)):
+    for j in range(last, 0, -1):
         if j == last or levels[j + 1] <= levels[j]:
             yield j
 
 
-def _insert_points(short: tuple[int, ...], full: tuple[int, ...]) -> list[int]:
-    """0-based points q where inserting full[q] into short yields full.
+def _insert_point(short: tuple[int, ...], full: tuple[int, ...]) -> Optional[int]:
+    """The smallest 0-based point q where inserting full[q] into short yields
+    full, or None.  Both are valid level sequences, so full[q] is always a
+    valid level after short[q - 1].
 
     Only leaf insertions count: the entry following the insertion point must
     not be deeper than the inserted level, otherwise the new vertex would
-    adopt an existing subtree.  Returned ascending.
+    adopt an existing subtree.
     """
     m = len(short)
     d = 0
     while d < m and short[d] == full[d]:
         d += 1
-    points = []
     for q in range(1, d + 1):
-        v = full[q]
-        if full[q + 1 :] != short[q:]:
-            continue
-        if not 2 <= v <= short[q - 1] + 1:
-            continue
-        if q < m and short[q] > v:
-            continue
-        points.append(q)
-    return points
+        if full[q + 1 :] == short[q:] and (q == m or short[q] <= full[q]):
+            return q
+    return None
 
 
 def _require_same_size(t: OrderedTree, u: OrderedTree) -> None:
@@ -118,35 +113,36 @@ def is_copying(t: OrderedTree, u: OrderedTree) -> bool:
     return False
 
 
-def is_adjacent(t: OrderedTree, u: OrderedTree) -> bool:
-    """True iff u is t with one leaf removed and one leaf appended elsewhere."""
+def _move(t: OrderedTree, u: OrderedTree) -> Optional[Delta]:
+    """The canonical move taking t to u (see delta), or None if not adjacent."""
     _require_same_size(t, u)
     if t == u:
-        return False
+        return None
     tl, ul = t.levels, u.levels
     for j in _removable(tl):
-        if _insert_points(tl[:j] + tl[j + 1 :], ul):
-            return True
-    return False
+        q = _insert_point(tl[:j] + tl[j + 1 :], ul)
+        if q is not None:
+            return Delta(j + 1, q + 1, ul[q])
+    return None
+
+
+def is_adjacent(t: OrderedTree, u: OrderedTree) -> bool:
+    """True iff u is t with one leaf removed and one leaf appended elsewhere."""
+    return _move(t, u) is not None
 
 
 def delta(t: OrderedTree, u: OrderedTree) -> Delta:
-    """The canonical move taking t to u.
+    """The canonical move taking t to u; NotAdjacentError if there is none.
 
     Several (remove, insert, level) triples can realize the same move; the
     canonical one removes the rightmost possible leaf and breaks remaining
     ties toward the smallest insertion position, which makes recorded streams
     deterministic and keeps sibling moves expressed as rightmost-leaf swaps.
     """
-    _require_same_size(t, u)
-    tl, ul = t.levels, u.levels
-    if t != u:
-        for j in sorted(_removable(tl), reverse=True):
-            points = _insert_points(tl[:j] + tl[j + 1 :], ul)
-            if points:
-                q = points[0]
-                return Delta(j + 1, q + 1, ul[q])
-    raise NotAdjacentError(f"{t} and {u} are not adjacent")
+    d = _move(t, u)
+    if d is None:
+        raise NotAdjacentError(f"{t} and {u} are not adjacent")
+    return d
 
 
 def apply_delta(t: OrderedTree, d: Delta) -> OrderedTree:

@@ -189,6 +189,16 @@ def test_dot_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["gen", "dot"])
+@pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
+def test_unopenable_output_exits_2(tmp_path, capsys, command, where):
+    path = tmp_path / "missing" / "out.txt" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, command, "--n", "3", "--output", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot open {path}")
+    assert "Traceback" not in err
+
+
 def test_bench(capsys):
     code, out, _ = run(capsys, "bench", "--n", "6", "--unchecked")
     assert code == 0

@@ -69,6 +69,31 @@ def test_copying_needs_same_size_distinct_trees():
         is_copying(T(1, 2, 2), T(1, 2, 2))
 
 
+def _removable(levels):
+    m = len(levels)
+    return [j for j in range(1, m) if j == m - 1 or levels[j + 1] <= levels[j]]
+
+
+def _copying_dumb(t, u):
+    # Definition: append a rightmost leaf at any level, then delete a leaf
+    # other than the appended one.
+    for v in range(2, t.rpl + 3):
+        grown = t.levels + (v,)
+        for j in _removable(grown):
+            if j != len(grown) - 1 and grown[:j] + grown[j + 1 :] == u.levels:
+                return True
+    return False
+
+
+def test_copying_matches_definition():
+    for n in range(2, 7):
+        trees = list(enumerate_all(n))
+        for t in trees:
+            for u in trees:
+                if t != u:
+                    assert is_copying(t, u) == _copying_dumb(t, u), (t, u)
+
+
 def test_copying_implies_adjacent():
     for n in range(2, 8):
         trees = list(enumerate_all(n))
@@ -80,15 +105,9 @@ def test_copying_implies_adjacent():
 
 # -- adjacency ----------------------------------------------------------
 
-def _removable(levels):
-    m = len(levels)
-    return [j for j in range(1, m) if j == m - 1 or levels[j + 1] <= levels[j]]
-
-
-def _adjacent_dumb(t, u):
-    # Ground truth: enumerate every (remove, insert, level) triple.
-    if t == u:
-        return False
+def _moves_dumb(t, u):
+    # Ground truth: every 1-based (remove_at, insert_at, level) triple that
+    # removes a leaf of t and inserts a leaf to give u.
     for j in _removable(t.levels):
         s = t.levels[:j] + t.levels[j + 1 :]
         m = len(s)
@@ -97,8 +116,7 @@ def _adjacent_dumb(t, u):
                 if q < m and s[q] > v:
                     continue  # inserted vertex would swallow a subtree
                 if s[:q] + (v,) + s[q:] == u.levels:
-                    return True
-    return False
+                    yield (j + 1, q + 1, v)
 
 
 def test_adjacent_matches_triple_enumeration():
@@ -107,7 +125,22 @@ def test_adjacent_matches_triple_enumeration():
         for t in trees:
             for u in trees:
                 if t != u:
-                    assert is_adjacent(t, u) == _adjacent_dumb(t, u), (t, u)
+                    expected = any(_moves_dumb(t, u))
+                    assert is_adjacent(t, u) == expected, (t, u)
+
+
+def test_delta_is_rightmost_removal_then_smallest_insertion():
+    pairs = 0
+    for n in range(2, 7):
+        trees = list(enumerate_all(n))
+        for t in trees:
+            for u in trees:
+                triples = list(_moves_dumb(t, u)) if t != u else []
+                if triples:
+                    pairs += 1
+                    r, q, v = max(triples, key=lambda x: (x[0], -x[1]))
+                    assert delta(t, u) == Delta(r, q, v), (t, u, triples)
+    assert pairs == 592
 
 
 def test_adjacent_is_irreflexive_and_symmetric():
