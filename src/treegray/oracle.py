@@ -2,9 +2,11 @@
 
 Everything here is independent of the step rules: trees are enumerated by
 taking lexicographic successors of level sequences, counts come from the
-Catalan formula, and adjacency is re-checked from the definition.  verify()
-runs the generator with its defensive checks on and reports every deviation
-instead of raising, so a broken build still produces a readable report.
+Catalan formula, and adjacency is re-checked with relations.is_adjacent, an
+O(n) search that tests/test_relations.py checks against the definitional
+enumeration _moves_dumb.  verify() runs the generator with its defensive
+checks on and reports every deviation instead of raising, so a broken build
+still produces a readable report.
 """
 from __future__ import annotations
 

@@ -3,9 +3,9 @@
 Two trees are adjacent when one can be turned into the other by removing a
 single leaf and appending a single leaf somewhere else, leaving every other
 vertex (and its level) untouched.  A Delta records one such move on the level
-sequence.  The copying relation is the restricted form of adjacency used by
-the ordering rules: U is reachable from T by first appending a new rightmost
-leaf and then deleting some other leaf.
+sequence; _move reads it off the first and last differing positions in O(n).
+Copying, used by the ordering rules, is the restricted form: U arises from T
+by appending a new rightmost leaf, then deleting some other leaf.
 """
 from __future__ import annotations
 
@@ -66,25 +66,6 @@ def _removable(levels: tuple[int, ...]) -> Iterator[int]:
             yield j
 
 
-def _insert_point(short: tuple[int, ...], full: tuple[int, ...]) -> Optional[int]:
-    """The smallest 0-based point q where inserting full[q] into short yields
-    full, or None.  Both are valid level sequences, so full[q] is always a
-    valid level after short[q - 1].
-
-    Only leaf insertions count: the entry following the insertion point must
-    not be deeper than the inserted level, otherwise the new vertex would
-    adopt an existing subtree.
-    """
-    m = len(short)
-    d = 0
-    while d < m and short[d] == full[d]:
-        d += 1
-    for q in range(1, d + 1):
-        if full[q + 1 :] == short[q:] and (q == m or short[q] <= full[q]):
-            return q
-    return None
-
-
 def _require_same_size(t: OrderedTree, u: OrderedTree) -> None:
     if t.size != u.size:
         raise ValueError(f"size mismatch: {t.size} vs {u.size}")
@@ -105,24 +86,43 @@ def is_copying(t: OrderedTree, u: OrderedTree) -> bool:
     if i > t.rpl + 1:
         return False
     grown = t.levels + (i + 1,)
-    target = u.levels
-    last = len(grown) - 1
     for j in _removable(grown):
-        if j != last and grown[:j] + grown[j + 1 :] == target:
+        if j < t.size and grown[:j] + grown[j + 1 :] == u.levels:
             return True
     return False
 
 
 def _move(t: OrderedTree, u: OrderedTree) -> Optional[Delta]:
-    """The canonical move taking t to u (see delta), or None if not adjacent."""
+    """The canonical move taking t to u (see delta), or None if not adjacent.
+
+    With p, e the first and last positions where t and u differ, removing t[j]
+    and inserting u[q] is (A) j >= e, q <= p, t[q:j] == u[q+1:j+1] or (B) j <= p,
+    q == e > j, t[j+1:q+1] == u[j:q]: prefix, shifted run and suffix match, so
+    it is a move iff t[j] and u[q] are leaves.  (A) has the larger j, so it goes
+    first; below p its run repeats levels, hence leaves, so its least q starts
+    the run.  (B) skips j == e, which is the (A) move with q == j.
+    """
     _require_same_size(t, u)
     if t == u:
         return None
-    tl, ul = t.levels, u.levels
-    for j in _removable(tl):
-        q = _insert_point(tl[:j] + tl[j + 1 :], ul)
-        if q is not None:
-            return Delta(j + 1, q + 1, ul[q])
+    tl, ul = t.levels + (0,), u.levels + (0,)  # the 0 ends the last leaf
+    p, e = 0, t.size
+    while tl[p] == ul[p]:
+        p += 1
+    while tl[e] == ul[e]:
+        e -= 1
+    q, end, start = p, p, e
+    while ul[q] == tl[q - 1]:
+        q -= 1
+    while ul[end + 1] == tl[end]:
+        end += 1
+    while ul[start - 1] == tl[start]:
+        start -= 1
+    for hi, lo, at in ((end, e, q), (min(p, e - 1), start, e)):
+        if ul[at + 1] <= ul[at]:
+            for j in range(hi, lo - 1, -1):
+                if tl[j + 1] <= tl[j]:
+                    return Delta(j + 1, at + 1, ul[at])
     return None
 
 

@@ -1,5 +1,8 @@
 """Pony-tails, copying, adjacency, and delta encoding."""
+from itertools import islice
+
 import pytest
+from hypothesis import given, strategies as st
 
 from treegray import (
     Delta,
@@ -7,7 +10,9 @@ from treegray import (
     OrderedTree,
     apply_delta,
     delta,
+    delta_stream,
     enumerate_all,
+    gray_code,
     has_pony_tail,
     is_adjacent,
     is_copying,
@@ -143,6 +148,66 @@ def test_delta_is_rightmost_removal_then_smallest_insertion():
     assert pairs == 592
 
 
+@st.composite
+def _level_tuples(draw, n):
+    seq = [1]
+    for _ in range(n - 1):
+        seq.append(draw(st.integers(min_value=2, max_value=seq[-1] + 1)))
+    return tuple(seq)
+
+
+@st.composite
+def _moved_pairs(draw):
+    # A random tree of size 2..25 and the result of one random leaf-delete /
+    # leaf-append move on it (possibly the same tree).
+    t = draw(_level_tuples(draw(st.integers(min_value=2, max_value=25))))
+    j = draw(st.sampled_from(_removable(t)))
+    s = t[:j] + t[j + 1 :]
+    q = draw(st.integers(min_value=1, max_value=len(s)))
+    low = s[q] if q < len(s) else 2  # not shallower than its successor: a leaf
+    v = draw(st.integers(min_value=low, max_value=s[q - 1] + 1))
+    return OrderedTree(t), OrderedTree(s[:q] + (v,) + s[q:])
+
+
+@st.composite
+def _independent_pairs(draw):
+    n = draw(st.integers(min_value=2, max_value=25))
+    return OrderedTree(draw(_level_tuples(n))), OrderedTree(draw(_level_tuples(n)))
+
+
+@given(_moved_pairs())
+def test_delta_matches_definition_on_random_moves(pair):
+    t, u = pair
+    triples = list(_moves_dumb(t, u)) if t != u else []
+    if not triples:
+        assert t == u and not is_adjacent(t, u)
+        return
+    d = delta(t, u)
+    assert d == Delta(*max(triples, key=lambda x: (x[0], -x[1])))
+    assert apply_delta(t, d) == u
+
+
+@given(_independent_pairs())
+def test_adjacent_matches_definition_on_random_pairs(pair):
+    t, u = pair
+    expected = t != u and any(_moves_dumb(t, u))
+    assert is_adjacent(t, u) == expected
+
+
+@pytest.mark.parametrize(
+    "t,u,expected",
+    [
+        ((1, 2, 3), (1, 2, 2), Delta(3, 2, 2)),  # (A), q walked back below p
+        ((1, 2, 2, 2), (1, 2, 3, 2), Delta(4, 3, 3)),  # (A), j > e
+        ((1, 2, 2, 3), (1, 2, 3, 3), Delta(2, 3, 3)),  # (B), j < p
+        ((1, 2, 3, 2, 2), (1, 2, 2, 2, 3), Delta(3, 5, 3)),  # (B), j = p < e
+    ],
+    ids=["A-q-below-p", "A-j-after-e", "B-j-before-p", "B-j-at-p"],
+)
+def test_delta_shape_examples(t, u, expected):
+    assert delta(T(*t), T(*u)) == expected
+
+
 def test_adjacent_is_irreflexive_and_symmetric():
     for n in range(2, 8):
         trees = list(enumerate_all(n))
@@ -191,6 +256,17 @@ def test_delta_round_trip_exhaustive():
                 if t != u and is_adjacent(t, u):
                     d = delta(t, u)
                     assert apply_delta(t, d) == u, (t, u, d)
+
+
+def test_long_delta_stream_replays_gray_code():
+    trees = list(islice(gray_code(100, checked=True), 1001))
+    t = trees[0]
+    assert t == OrderedTree((1,) + (2,) * 99)
+    replayed = [t]
+    for d in islice(delta_stream(100), 1000):
+        t = apply_delta(t, d)
+        replayed.append(t)
+    assert replayed == trees
 
 
 def test_apply_delta_validates():
