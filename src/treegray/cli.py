@@ -22,7 +22,8 @@ from .generator import (
     gray_code,
 )
 from .oracle import ALL_CHECKS, ENUMERATION_CAP, catalan, verify
-from .relations import delta
+# bench/tracer.py wraps cli.delta by name, so it stays bound.
+from .relations import delta  # noqa: F401
 from .tree import encode_parens
 
 
@@ -66,17 +67,10 @@ def _warn_cap_override(n: int, default_cap: int) -> int:
 
 
 def _gen_lines(n: int, fmt: str, checked: bool) -> Iterator[str]:
-    if fmt == "delta":
-        prev = None
-        for t in gray_code(n, checked=checked):
-            yield str(t) if prev is None else str(delta(prev, t))
-            prev = t
-    elif fmt == "parens":
-        for t in gray_code(n, checked=checked):
-            yield encode_parens(t)
-    else:
-        for t in gray_code(n, checked=checked):
-            yield str(t)
+    records = gray_code(n, checked=checked, moves=fmt == "delta")
+    render = encode_parens if fmt == "parens" else str
+    for record in records:
+        yield render(record)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

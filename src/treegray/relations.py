@@ -3,7 +3,9 @@
 Two trees are adjacent when one can be turned into the other by removing a
 single leaf and appending a single leaf somewhere else, leaving every other
 vertex (and its level) untouched.  A Delta records one such move on the level
-sequence; _move reads it off the first and last differing positions in O(n).
+sequence; _move reads it off the first and last differing positions in O(n),
+and _sibling_move gives it without a search when both trees are children of
+one tree.
 Copying, used by the ordering rules, is the restricted form: U arises from T
 by appending a new rightmost leaf, then deleting some other leaf.
 """
@@ -92,8 +94,9 @@ def is_copying(t: OrderedTree, u: OrderedTree) -> bool:
     return False
 
 
-def _move(t: OrderedTree, u: OrderedTree) -> Optional[Delta]:
-    """The canonical move taking t to u (see delta), or None if not adjacent.
+def _move(t: OrderedTree, u: OrderedTree) -> Optional[tuple[int, int, int]]:
+    """The canonical move taking t to u (see delta) as a plain
+    (remove_at, insert_at, insert_level) tuple, or None if not adjacent.
 
     With p, e the first and last positions where t and u differ, removing t[j]
     and inserting u[q] is (A) j >= e, q <= p, t[q:j] == u[q+1:j+1] or (B) j <= p,
@@ -122,8 +125,22 @@ def _move(t: OrderedTree, u: OrderedTree) -> Optional[Delta]:
         if ul[at + 1] <= ul[at]:
             for j in range(hi, lo - 1, -1):
                 if tl[j + 1] <= tl[j]:
-                    return Delta(j + 1, at + 1, ul[at])
+                    return j + 1, at + 1, ul[at]
     return None
+
+
+def _sibling_move(parent: tuple[int, ...], level: int) -> tuple[int, int, int]:
+    """The canonical move from any other child of parent to parent + (level,).
+
+    The two trees differ only in their last entry, so this is _move's shape
+    (A) with p == e == j the last position: the rightmost leaf goes, and the
+    new leaf is inserted where the trailing run of `level` in the result
+    starts.  No tree is built.
+    """
+    q = len(parent)
+    while parent[q - 1] == level:  # parent[0] is the root level 1 < level
+        q -= 1
+    return len(parent) + 1, q + 1, level
 
 
 def is_adjacent(t: OrderedTree, u: OrderedTree) -> bool:
@@ -139,10 +156,10 @@ def delta(t: OrderedTree, u: OrderedTree) -> Delta:
     ties toward the smallest insertion position, which makes recorded streams
     deterministic and keeps sibling moves expressed as rightmost-leaf swaps.
     """
-    d = _move(t, u)
-    if d is None:
+    m = _move(t, u)
+    if m is None:
         raise NotAdjacentError(f"{t} and {u} are not adjacent")
-    return d
+    return Delta(*m)
 
 
 def apply_delta(t: OrderedTree, d: Delta) -> OrderedTree:

@@ -73,6 +73,36 @@ def test_delta_replay_matches_levels(capsys):
     assert replayed == levels_out.splitlines()
 
 
+def test_gen_deep_prefix(capsys):
+    # n is far above Python's recursion limit: levels are walked, not nested.
+    code, levels_out, _ = run(capsys, "gen", "--n", "5000", "--limit", "10")
+    assert code == 0
+    levels = levels_out.splitlines()
+    assert len(levels) == 10
+    code, delta_out, _ = run(
+        capsys, "gen", "--n", "5000", "--limit", "10", "--format", "delta"
+    )
+    assert code == 0
+    lines = delta_out.splitlines()
+    assert len(lines) == 10
+    cur = parse_tree(lines[0])
+    replayed = [str(cur)]
+    for line in lines[1:]:
+        cur = apply_delta(cur, Delta.parse(line))
+        replayed.append(str(cur))
+    assert replayed == levels
+
+
+@pytest.mark.parametrize("extra", [(), ("--unchecked",)])
+def test_gen_delta_adjacency_violation_exits_1(broken_next_leftmost, capsys, extra):
+    code, _, err = run(capsys, "gen", "--n", "7", "--format", "delta", *extra)
+    assert code == 1
+    assert err.startswith(
+        "error: AdjacencyViolationError: adjacency violation in case 2a1 at "
+        "level 7 after position 3 of level 6: "
+    )
+
+
 def test_gen_deterministic(capsys):
     _, first, _ = run(capsys, "gen", "--n", "8")
     _, second, _ = run(capsys, "gen", "--n", "8")
@@ -123,11 +153,13 @@ DOT8_DIGEST = "9e351cff3f736a947b09c2b972d0ff16b34f823f65d711645ccc575f02218cf5"
 
 
 def test_output_digests_pinned(capsys):
-    for fmt, digests in GEN_DIGESTS.items():
-        for n, want in enumerate(digests, start=2):
-            code, out, _ = run(capsys, "gen", "--n", str(n), "--format", fmt)
+    runs = [(fmt, ()) for fmt in GEN_DIGESTS] + [("delta", ("--unchecked",))]
+    for fmt, extra in runs:
+        for n, want in enumerate(GEN_DIGESTS[fmt], start=2):
+            code, out, _ = run(capsys, "gen", "--n", str(n), "--format", fmt, *extra)
             assert code == 0
-            assert hashlib.sha256(out.encode("ascii")).hexdigest() == want, (fmt, n)
+            digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+            assert digest == want, (fmt, extra, n)
     dot = export_dot(build_family_tree(8)).encode("ascii")
     assert hashlib.sha256(dot).hexdigest() == DOT8_DIGEST
 

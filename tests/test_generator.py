@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from treegray import (
+    AdjacencyViolationError,
     Delta,
     FamilyTree,
     OrderedTree,
@@ -11,6 +12,7 @@ from treegray import (
     apply_delta,
     build_family_tree,
     catalan,
+    delta,
     delta_stream,
     encode_parens,
     enumerate_all,
@@ -94,6 +96,45 @@ def test_delta_stream_examples():
     assert len(list(delta_stream(5))) == 13
 
 
+def test_delta_stream_matches_delta_search():
+    # The emitted moves equal the searched canonical moves on every step.
+    for n in range(2, 13):
+        searched = [delta(a, b) for a, b in itertools.pairwise(gray_code(n))]
+        for checked in (True, False):
+            assert list(delta_stream(n, checked=checked)) == searched, (n, checked)
+    trees = itertools.islice(gray_code(100), 2001)
+    searched = [delta(a, b) for a, b in itertools.pairwise(trees)]
+    for checked in (True, False):
+        emitted = itertools.islice(delta_stream(100, checked=checked), 2000)
+        assert list(emitted) == searched, checked
+
+
+def test_moves_start_with_the_first_tree():
+    records = list(gray_code(4, moves=True))
+    assert records[0] == T(1, 2, 2, 2)
+    assert records[1:] == list(delta_stream(4))
+    assert list(gray_code(1, moves=True)) == [T(1)]
+
+
+def test_deep_prefix_has_no_recursion_limit():
+    assert next(gray_code(5000, checked=False)).levels == (1,) + (2,) * 4999
+
+
+def test_adjacency_violation_names_level_position_and_case(broken_next_leftmost):
+    want = (
+        "adjacency violation in case 2a1 at level 7 after position 3 of "
+        "level 6: 1,2,2,2,3,2,3 vs 1,2,2,2,3,4,3"
+    )
+    with pytest.raises(AdjacencyViolationError) as exc:
+        list(gray_code(7))
+    assert str(exc.value) == want
+    # Moves are proven whether or not the run is checked.
+    for checked in (True, False):
+        with pytest.raises(AdjacencyViolationError) as exc:
+            list(gray_code(7, checked=checked, moves=True))
+        assert str(exc.value) == want
+
+
 def test_delta_stream_rejects_small_n():
     with pytest.raises(ValueError):
         delta_stream(1)
@@ -131,6 +172,20 @@ def test_stats_vertex_writes_unchecked_is_one_tree_each():
     for _ in gray_code(8, stats=checked):
         pass
     assert checked.vertex_writes > stats.vertex_writes
+
+
+def test_stats_under_moves_count_records_and_boundary_trees():
+    trees, moves = StreamStats(), StreamStats()
+    for _ in gray_code(8, checked=False, stats=trees):
+        pass
+    for _ in gray_code(8, checked=False, stats=moves, moves=True):
+        pass
+    assert moves.emitted == trees.emitted
+    assert moves.case_counts == trees.case_counts
+    # Level 8 builds only its first tree and, at each of its catalan(6) - 1
+    # block boundaries, the block's last child and the next block's first.
+    below = sum(k * catalan(k - 1) for k in range(1, 8))
+    assert moves.vertex_writes == below + 8 * (1 + 2 * (catalan(6) - 1))
 
 
 def test_write_work_within_quadratic_envelope():

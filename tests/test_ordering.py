@@ -46,7 +46,7 @@ def test_classify_forbidden_raises(monkeypatch):
     monkeypatch.setattr(
         treegray.generator, "plan_step", lambda *args: (Case.C4B3, (), 0)
     )
-    with pytest.raises(ForbiddenCaseError, match="4b3"):
+    with pytest.raises(ForbiddenCaseError, match="4b3 at level 3, position 0: "):
         list(gray_code(5))
     report = verify(5)
     assert not report.passed

@@ -17,6 +17,7 @@ from treegray import (
     is_adjacent,
     is_copying,
 )
+from treegray.relations import _sibling_move
 
 
 T = lambda *levels: OrderedTree(levels)
@@ -235,6 +236,23 @@ def test_delta_canonical_examples():
     assert delta(T(1, 2, 2), T(1, 2, 3)) == Delta(3, 3, 3)
     assert delta(T(1, 2, 2, 3), T(1, 2, 3, 3)) == Delta(2, 3, 3)
     assert delta(T(1, 2, 2, 2), T(1, 2, 2, 3)) == Delta(4, 4, 3)
+
+
+def test_sibling_move_matches_delta():
+    # Two children of one tree differ in the last entry only; the move
+    # removes it and inserts the new level where its trailing run starts.
+    assert _sibling_move((1, 2, 3, 3), 3) == (5, 3, 3)
+    assert delta(T(1, 2, 3, 3, 2), T(1, 2, 3, 3, 3)) == Delta(5, 3, 3)
+    pairs = 0
+    for n in range(1, 8):
+        for p in enumerate_all(n):
+            kids = p.children()
+            for a in kids:
+                for b in kids:
+                    if a != b:
+                        assert Delta(*_sibling_move(p.levels, b.levels[-1])) == delta(a, b)
+                        pairs += 1
+    assert pairs == 1608
 
 
 def test_delta_not_adjacent_raises():
