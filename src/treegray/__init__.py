@@ -6,7 +6,6 @@ memory, with an independent brute-force oracle for verification.
 """
 from .tree import (
     InvalidLevelSequence,
-    LevelSet,
     OrderedTree,
     decode_parens,
     encode_parens,
@@ -62,7 +61,6 @@ __all__ = [
     "FamilyTree",
     "ForbiddenCaseError",
     "InvalidLevelSequence",
-    "LevelSet",
     "NotAdjacentError",
     "OrderedTree",
     "StreamStats",

@@ -4,9 +4,13 @@ Everything here is independent of the step rules: trees are enumerated by
 taking lexicographic successors of level sequences, counts come from the
 Catalan formula, and adjacency is re-checked with relations.is_adjacent, an
 O(n) search that tests/test_relations.py checks against the definitional
-enumeration _moves_dumb.  verify() runs the generator with its defensive
-checks on and reports every deviation instead of raising, so a broken build
-still produces a readable report.
+enumeration _moves_dumb.  That search is not independent of the generator,
+though: is_adjacent and the generator's proof of each block boundary both
+run relations._move, so a _move that accepted a non-adjacent pair would pass
+both.  The enumeration is streamed, so the set of emitted level sequences
+that verify() keeps is the one stored copy of the trees.  verify() runs the
+generator with its defensive checks on and reports every deviation instead
+of raising, so a broken build still produces a readable report.
 """
 from __future__ import annotations
 
@@ -18,8 +22,9 @@ from typing import Iterable, Iterator, Optional
 from .generator import StreamStats, gray_code
 from .ordering import FORBIDDEN_CASES, check_co1, format_case_histogram
 from .relations import is_adjacent
-from .tree import LevelSet, OrderedTree
+from .tree import OrderedTree
 
+# verify() stores every emitted level sequence, Catalan(n-1) of them.
 ENUMERATION_CAP = 14
 
 ALL_CHECKS = ("gray", "unique", "complete", "co1", "co2", "cases")
@@ -49,15 +54,12 @@ def _successors(n: int) -> Iterator[tuple[int, ...]]:
     # The walk terminates at (1,2,3,...,n), the lexicographic maximum.
 
 
-def enumerate_all(n: int, cap: int = ENUMERATION_CAP) -> LevelSet:
-    """All ordered trees with n vertices, in lexicographic level-sequence
-    order.  Eager and therefore capped (Catalan growth)."""
+def enumerate_all(n: int) -> Iterator[OrderedTree]:
+    """All ordered trees with n vertices, streamed in lexicographic
+    level-sequence order."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > cap:
-        raise ValueError(f"cap exceeded: n={n} is above the cap of {cap}")
-    trees = tuple(OrderedTree._trusted(seq) for seq in _successors(n))
-    return LevelSet(n, trees)
+    return map(OrderedTree._trusted, _successors(n))
 
 
 @dataclass
@@ -141,25 +143,24 @@ def _windowed(
 def _checked_run(
     report: VerificationReport,
     n: int,
-    want_gray: bool,
-    want_unique: bool,
-    want_complete: bool,
-    want_co2: bool,
+    selected: tuple[str, ...],
     stats: Optional[StreamStats],
 ) -> None:
-    seen: set[OrderedTree] = set()
+    want_seen = "unique" in selected or "complete" in selected
+    want_gray = "gray" in selected
+    seen: set[tuple[int, ...]] = set()
     prev: Optional[OrderedTree] = None
     pos = 0
     trees = gray_code(n, checked=True, stats=stats)
-    if want_co2:
+    if "co2" in selected:
         trees = _windowed(report, n, "co2", trees)
     try:
         for t in trees:
-            if want_unique or want_complete:
-                if t in seen:
+            if want_seen:
+                if t.levels in seen:
                     report.duplicates.append(t)
                 else:
-                    seen.add(t)
+                    seen.add(t.levels)
             if want_gray and prev is not None and not is_adjacent(prev, t):
                 report.adjacency_failures.append((pos - 1, pos))
             prev = t
@@ -167,9 +168,9 @@ def _checked_run(
     except RuntimeError as exc:
         report.generation_error = f"{type(exc).__name__}: {exc}"
     report.total = pos
-    if want_complete and report.generation_error is None:
-        for t in enumerate_all(n, cap=max(n, ENUMERATION_CAP)):
-            if t not in seen:
+    if "complete" in selected and report.generation_error is None:
+        for t in enumerate_all(n):
+            if t.levels not in seen:
                 report.missing.append(t)
 
 
@@ -208,15 +209,7 @@ def verify(
         )
     report = VerificationReport(n=n, checks=selected, expected=catalan(n - 1))
     stats = StreamStats() if "cases" in selected else None
-    _checked_run(
-        report,
-        n,
-        want_gray="gray" in selected,
-        want_unique="unique" in selected,
-        want_complete="complete" in selected,
-        want_co2="co2" in selected,
-        stats=stats,
-    )
+    _checked_run(report, n, selected, stats)
     if "co1" in selected and report.generation_error is None:
         _co1_sweep(report, n)
     if stats is not None:

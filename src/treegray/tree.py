@@ -7,8 +7,7 @@ two ordered trees are equal exactly when their level sequences are.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class InvalidLevelSequence(ValueError):
@@ -105,9 +104,6 @@ class OrderedTree:
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.levels)
 
-    def to_parens(self) -> str:
-        return encode_parens(self)
-
 
 def encode_parens(tree: OrderedTree) -> str:
     """Encode as a balanced parenthesis string, one () pair per vertex."""
@@ -166,31 +162,3 @@ def parse_tree(text: str) -> OrderedTree:
     except ValueError:
         raise InvalidLevelSequence(f"cannot parse tree from {text!r}") from None
     return OrderedTree(levels)
-
-
-@dataclass(frozen=True)
-class LevelSet:
-    """All trees of one size, in a fixed order, with basic sanity checks."""
-
-    k: int
-    trees: tuple[OrderedTree, ...]
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"size must be positive, got {self.k}")
-        seen: set[tuple[int, ...]] = set()
-        for t in self.trees:
-            if t.size != self.k:
-                raise ValueError(f"{t} has size {t.size}, expected {self.k}")
-            if t.levels in seen:
-                raise ValueError(f"duplicate tree {t}")
-            seen.add(t.levels)
-
-    def __len__(self) -> int:
-        return len(self.trees)
-
-    def __iter__(self) -> Iterator[OrderedTree]:
-        return iter(self.trees)
-
-    def __contains__(self, tree: object) -> bool:
-        return tree in self.trees

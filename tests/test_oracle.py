@@ -46,10 +46,10 @@ def test_enumerate_all_small():
 
 def test_enumerate_all_counts_and_order():
     for n in range(1, 11):
-        ls = enumerate_all(n)
-        assert ls.k == n
-        assert len(ls) == catalan(n - 1)
-        seqs = [t.levels for t in ls]
+        trees = list(enumerate_all(n))
+        assert all(t.size == n for t in trees)
+        assert len(trees) == catalan(n - 1)
+        seqs = [t.levels for t in trees]
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
 
@@ -59,11 +59,10 @@ def test_enumerate_all_emits_valid_sequences():
         assert OrderedTree(list(t.levels)) == t
 
 
-def test_enumerate_all_cap():
-    with pytest.raises(ValueError, match="cap exceeded"):
-        enumerate_all(15)
-    with pytest.raises(ValueError, match="cap exceeded"):
-        enumerate_all(5, cap=4)
+def test_enumerate_all_streams_without_cap():
+    # The star comes first; nothing of the Catalan(39) others is built.
+    assert next(enumerate_all(40)) == OrderedTree([1] + [2] * 39)
+    # Bad sizes are rejected at the call, not on the first next().
     with pytest.raises(ValueError):
         enumerate_all(0)
 

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from treegray import (
     InvalidLevelSequence,
-    LevelSet,
     OrderedTree,
     decode_parens,
     encode_parens,
@@ -146,15 +145,11 @@ def test_parse_tree_both_formats():
         parse_tree("")
 
 
-def test_level_set_validates():
-    trees = tuple(enumerate_all(3))
-    ls = LevelSet(3, trees)
-    assert len(ls) == 2
-    assert OrderedTree([1, 2, 2]) in ls
-    with pytest.raises(ValueError):
-        LevelSet(4, trees)
-    with pytest.raises(ValueError):
-        LevelSet(3, (trees[0], trees[0]))
+def test_enumerate_all_three_vertices():
+    trees = list(enumerate_all(3))
+    assert all(t.size == 3 for t in trees)
+    assert len(set(trees)) == len(trees) == 2
+    assert OrderedTree([1, 2, 2]) in trees
 
 
 @st.composite
