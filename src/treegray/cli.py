@@ -12,7 +12,7 @@ import itertools
 import os
 import sys
 import time
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .generator import (
     FAMILY_TREE_CAP,
@@ -27,24 +27,21 @@ from .relations import delta  # noqa: F401
 from .tree import encode_parens
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "nonnegative")
 
 
 def _open_output(path: Optional[str]):

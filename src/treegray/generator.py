@@ -14,6 +14,7 @@ The top level yields trees, or with moves=True the first tree followed by
 one canonical move per step: a sibling step's move is read off the child
 index without building a tree, and a block boundary builds just its two
 trees and finds the move with the one search that also proves adjacency.
+Both give the relations.Delta that is yielded as it stands.
 
 The full family tree (every tree of sizes 1..n with ordered child lists) is
 assembled from the same per-level streams for DOT export and cross-checks:
@@ -62,12 +63,6 @@ class StreamStats:
     case_counts: Counter = field(default_factory=Counter)
     max_held: dict[int, int] = field(default_factory=dict)
 
-    def note_write(self, size: int) -> None:
-        self.vertex_writes += size
-
-    def note_emit(self, level: int) -> None:
-        self.emitted[level] += 1
-
     def note_held(self, level: int, count: int) -> None:
         if count > self.max_held.get(level, 0):
             self.max_held[level] = count
@@ -80,7 +75,7 @@ class StreamStats:
 def _child(t: OrderedTree, i: int, stats: Optional[StreamStats]) -> OrderedTree:
     c = t.child(i)
     if stats is not None:
-        stats.note_write(c.size)
+        stats.vertex_writes += c.size
     return c
 
 
@@ -113,14 +108,12 @@ def _emit(lv: _Level, k: int, stats: Optional[StreamStats]) -> OrderedTree:
     lv.last = t = lv.cur.child(lv.order[lv.pos])
     lv.pos += 1
     if stats is not None:
-        stats.note_write(k)
-        stats.note_emit(k)
+        stats.vertex_writes += k
+        stats.emitted[k] += 1
     return t
 
 
-def _boundary_move(
-    lv: _Level, k: int, stats: Optional[StreamStats]
-) -> tuple[int, int, int]:
+def _boundary_move(lv: _Level, k: int, stats: Optional[StreamStats]) -> Delta:
     """The move from level k's last child to the first child of nxt's block.
 
     It is both the adjacency proof and, at the top of a move stream, the
@@ -189,8 +182,8 @@ def _records(
 ) -> Iterator[Union[OrderedTree, Delta]]:
     root = OrderedTree._trusted((1,))
     if stats is not None:
-        stats.note_write(1)
-        stats.note_emit(1)
+        stats.vertex_writes += 1
+        stats.emitted[1] += 1
     if n == 1:
         yield root
         return
@@ -206,7 +199,7 @@ def _records(
     if moves:
         first = _child(top.cur, top.order[0], stats)
         if stats is not None:
-            stats.note_emit(n)
+            stats.emitted[n] += 1
         yield first
     while True:
         cur, order = top.cur, top.order
@@ -215,14 +208,14 @@ def _records(
             parent = cur.levels
             for i in order[1:]:
                 if stats is not None:
-                    stats.note_emit(n)
-                yield Delta(*_sibling_move(parent, i + 1))
+                    stats.emitted[n] += 1
+                yield _sibling_move(parent, i + 1)
         else:
             for i in order:
                 t = cur.child(i)
                 if stats is not None:
-                    stats.note_write(n)
-                    stats.note_emit(n)
+                    stats.vertex_writes += n
+                    stats.emitted[n] += 1
                 yield t
             top.last = t
         if top.nxt is None:
@@ -231,8 +224,8 @@ def _records(
             top.last = _child(cur, order[-1], stats)
             m = _boundary_move(top, n, stats)
             if stats is not None:
-                stats.note_emit(n)
-            yield Delta(*m)
+                stats.emitted[n] += 1
+            yield m
         elif checked:
             _boundary_move(top, n, stats)
         _advance(levels, n, checked, stats)

@@ -2,15 +2,17 @@
 
 Everything here is independent of the step rules: trees are enumerated by
 taking lexicographic successors of level sequences, counts come from the
-Catalan formula, and adjacency is re-checked with relations.is_adjacent, an
-O(n) search that tests/test_relations.py checks against the definitional
-enumeration _moves_dumb.  That search is not independent of the generator,
-though: is_adjacent and the generator's proof of each block boundary both
-run relations._move, so a _move that accepted a non-adjacent pair would pass
-both.  The enumeration is streamed, so the set of emitted level sequences
-that verify() keeps is the one stored copy of the trees.  verify() runs the
-generator with its defensive checks on and reports every deviation instead
-of raising, so a broken build still produces a readable report.
+Catalan formula, and adjacency is re-checked with relations.is_adjacent.
+That check certifies its answer rather than trusting the O(n) search
+relations._move that the generator's proof of each block boundary also runs:
+two children of one tree are adjacent when they differ, and for any other
+pair the search's move is replayed with apply_delta and compared with the
+second tree.  A _move that returned a move for a non-adjacent pair would
+fool the generator but not this check.  The enumeration is streamed, so
+the set of emitted level sequences that verify() keeps is the one stored
+copy of the trees.  verify() runs the generator with its defensive checks on
+and reports every deviation instead of raising, so a broken build still
+produces a readable report.
 """
 from __future__ import annotations
 

@@ -5,14 +5,14 @@ single leaf and appending a single leaf somewhere else, leaving every other
 vertex (and its level) untouched.  A Delta records one such move on the level
 sequence; _move reads it off the first and last differing positions in O(n),
 and _sibling_move gives it without a search when both trees are children of
-one tree.
+one tree.  is_adjacent does not trust the search: it replays the move with
+apply_delta and compares the result.
 Copying, used by the ordering rules, is the restricted form: U arises from T
 by appending a new rightmost leaf, then deleting some other leaf.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import NamedTuple, Optional
 
 from .tree import OrderedTree
 
@@ -21,8 +21,7 @@ class NotAdjacentError(ValueError):
     """delta() was asked for a move between non-adjacent trees."""
 
 
-@dataclass(frozen=True)
-class Delta:
+class Delta(NamedTuple):
     """One Gray move on a level sequence, all positions 1-based.
 
     remove_at indexes the leaf entry to drop from the source sequence;
@@ -60,19 +59,6 @@ def has_pony_tail(tree: OrderedTree) -> bool:
     return tree.size >= 3 and tree.levels[-2:] == (2, 3)
 
 
-def _removable(levels: tuple[int, ...]) -> Iterator[int]:
-    """0-based positions of leaves, rightmost first.  The root is never removable."""
-    last = len(levels) - 1
-    for j in range(last, 0, -1):
-        if j == last or levels[j + 1] <= levels[j]:
-            yield j
-
-
-def _require_same_size(t: OrderedTree, u: OrderedTree) -> None:
-    if t.size != u.size:
-        raise ValueError(f"size mismatch: {t.size} vs {u.size}")
-
-
 def is_copying(t: OrderedTree, u: OrderedTree) -> bool:
     """True iff u arises from t by appending a new rightmost leaf and then
     deleting one of the other leaves.
@@ -81,22 +67,22 @@ def is_copying(t: OrderedTree, u: OrderedTree) -> bool:
     rpl(u); the deleted leaf is any leaf of child(t, rpl(u)) other than the
     appended one.
     """
-    _require_same_size(t, u)
+    if t.size != u.size:
+        raise ValueError(f"size mismatch: {t.size} vs {u.size}")
     if t == u:
         raise ValueError("copying is defined for distinct trees only")
     i = u.rpl
     if i > t.rpl + 1:
         return False
     grown = t.levels + (i + 1,)
-    for j in _removable(grown):
-        if j < t.size and grown[:j] + grown[j + 1 :] == u.levels:
+    for j in range(t.size - 1, 0, -1):  # never the appended leaf at t.size
+        if grown[j + 1] <= grown[j] and grown[:j] + grown[j + 1 :] == u.levels:
             return True
     return False
 
 
-def _move(t: OrderedTree, u: OrderedTree) -> Optional[tuple[int, int, int]]:
-    """The canonical move taking t to u (see delta) as a plain
-    (remove_at, insert_at, insert_level) tuple, or None if not adjacent.
+def _move(t: OrderedTree, u: OrderedTree) -> Optional[Delta]:
+    """The canonical move taking t to u (see delta), or None if not adjacent.
 
     With p, e the first and last positions where t and u differ, removing t[j]
     and inserting u[q] is (A) j >= e, q <= p, t[q:j] == u[q+1:j+1] or (B) j <= p,
@@ -105,11 +91,14 @@ def _move(t: OrderedTree, u: OrderedTree) -> Optional[tuple[int, int, int]]:
     first; below p its run repeats levels, hence leaves, so its least q starts
     the run.  (B) skips j == e, which is the (A) move with q == j.
     """
-    _require_same_size(t, u)
-    if t == u:
+    tl, ul = t.levels, u.levels
+    e = len(tl)
+    if e != len(ul):
+        raise ValueError(f"size mismatch: {e} vs {len(ul)}")
+    if tl == ul:
         return None
-    tl, ul = t.levels + (0,), u.levels + (0,)  # the 0 ends the last leaf
-    p, e = 0, t.size
+    tl, ul = tl + (0,), ul + (0,)  # the 0 ends the last leaf
+    p = 0
     while tl[p] == ul[p]:
         p += 1
     while tl[e] == ul[e]:
@@ -125,11 +114,11 @@ def _move(t: OrderedTree, u: OrderedTree) -> Optional[tuple[int, int, int]]:
         if ul[at + 1] <= ul[at]:
             for j in range(hi, lo - 1, -1):
                 if tl[j + 1] <= tl[j]:
-                    return j + 1, at + 1, ul[at]
+                    return Delta(j + 1, at + 1, ul[at])
     return None
 
 
-def _sibling_move(parent: tuple[int, ...], level: int) -> tuple[int, int, int]:
+def _sibling_move(parent: tuple[int, ...], level: int) -> Delta:
     """The canonical move from any other child of parent to parent + (level,).
 
     The two trees differ only in their last entry, so this is _move's shape
@@ -140,12 +129,24 @@ def _sibling_move(parent: tuple[int, ...], level: int) -> tuple[int, int, int]:
     q = len(parent)
     while parent[q - 1] == level:  # parent[0] is the root level 1 < level
         q -= 1
-    return len(parent) + 1, q + 1, level
+    return Delta(len(parent) + 1, q + 1, level)
 
 
 def is_adjacent(t: OrderedTree, u: OrderedTree) -> bool:
-    """True iff u is t with one leaf removed and one leaf appended elsewhere."""
-    return _move(t, u) is not None
+    """True iff u is t with one leaf removed and one leaf appended elsewhere.
+
+    Two children of one tree are adjacent exactly when they differ (see
+    _sibling_move).  Any other pair counts only if the move _move finds
+    replays through apply_delta to u, so a wrong move gives False, not True.
+    """
+    tl, ul = t.levels, u.levels
+    if tl[:-1] == ul[:-1]:
+        return tl != ul
+    m = _move(t, u)
+    try:
+        return m is not None and apply_delta(t, m).levels == ul
+    except ValueError:  # the move does not replay
+        return False
 
 
 def delta(t: OrderedTree, u: OrderedTree) -> Delta:
@@ -159,7 +160,7 @@ def delta(t: OrderedTree, u: OrderedTree) -> Delta:
     m = _move(t, u)
     if m is None:
         raise NotAdjacentError(f"{t} and {u} are not adjacent")
-    return Delta(*m)
+    return m
 
 
 def apply_delta(t: OrderedTree, d: Delta) -> OrderedTree:

@@ -1,8 +1,13 @@
 """Command-line behavior: formats, exit codes, determinism."""
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treegray.cli
 from treegray import Delta, apply_delta, build_family_tree, export_dot, parse_tree
 from treegray.cli import main
 
@@ -190,6 +195,12 @@ def test_verify_bad_check(capsys):
     assert "unknown checks" in err
 
 
+def test_verify_empty_check_list(capsys):
+    code, out, err = run(capsys, "verify", "--n", "4", "--checks", ",")
+    assert code == 2 and out == ""
+    assert err == "error: empty check list\n"
+
+
 def test_verify_above_cap(capsys):
     code, _, err = run(capsys, "verify", "--n", "20")
     assert code == 2
@@ -199,6 +210,33 @@ def test_verify_above_cap(capsys):
 def test_override_cap_accepted_for_small_n(capsys):
     code, out, _ = run(capsys, "verify", "--n", "4", "--override-cap")
     assert code == 0 and out.startswith("PASS")
+
+
+def test_override_cap_warns_above_the_default_cap(monkeypatch, capsys):
+    monkeypatch.setattr(treegray.cli, "FAMILY_TREE_CAP", 3)
+    code, out, err = run(capsys, "dot", "--n", "4", "--override-cap")
+    assert code == 0 and out.startswith("digraph family_tree {")
+    assert err == (
+        "warning: n=4 is above the default cap of 3; "
+        "memory use grows like the Catalan numbers\n"
+    )
+
+
+def test_gen_into_closed_pipe_exits_0():
+    # The reader takes one line and closes the pipe, as `head -1` would.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treegray", "gen", "--n", "12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"1,2,2,2,2,2,2,2,2,2,2,2\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_dot_output(capsys):

@@ -1,5 +1,6 @@
 """Streaming generation, deltas, family tree, DOT export."""
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -186,6 +187,39 @@ def test_stats_under_moves_count_records_and_boundary_trees():
     # block boundaries, the block's last child and the next block's first.
     below = sum(k * catalan(k - 1) for k in range(1, 8))
     assert moves.vertex_writes == below + 8 * (1 + 2 * (catalan(6) - 1))
+
+
+def _drain(n, records, **kwargs):
+    for _ in itertools.islice(gray_code(n, **kwargs), records):
+        pass
+
+
+def _traced_peak(n, records, **kwargs):
+    # Peak bytes allocated while the first `records` records are drawn and
+    # dropped.
+    tracemalloc.start()
+    try:
+        _drain(n, records, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"checked": False}, {"moves": True}],
+    ids=["checked", "unchecked", "moves"],
+)
+def test_prefix_memory_does_not_grow_with_the_prefix(kwargs):
+    # The README promises arbitrarily long prefixes in memory that does not
+    # grow with the prefix: O(n) trees of O(n) entries, so O(n^2) bytes.
+    # CPython 3.11 and 3.12 keep up to 2,000 freed tuples of each small size
+    # on a free list, a bounded cache that fills as a run goes; one untraced
+    # run fills it first, so the traced runs see what the stream holds.
+    _drain(40, 20_000, **kwargs)
+    short = _traced_peak(40, 2_000, **kwargs)
+    assert _traced_peak(40, 20_000, **kwargs) <= 1.5 * short
+    assert _traced_peak(80, 2_000, **kwargs) <= 6 * short
 
 
 def test_write_work_within_quadratic_envelope():

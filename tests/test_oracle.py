@@ -2,13 +2,16 @@
 import pytest
 
 import treegray.oracle
+import treegray.relations
 from treegray import (
     ALL_CHECKS,
+    Delta,
     OrderedTree,
     VerificationReport,
     catalan,
     enumerate_all,
     gray_code,
+    is_adjacent,
     verify,
 )
 
@@ -155,6 +158,10 @@ def test_verify_locates_swapped_trees(monkeypatch):
     assert report.invariant_failures == [(6, 1, "co2"), (6, 16, "co2"), (6, 18, "co2")]
     assert report.duplicates == [] and report.missing == []
     assert report.generation_error is None
+    lines = report.render().splitlines()
+    assert "not adjacent: positions 2,3" in lines
+    assert "not adjacent: positions 18,19" in lines
+    assert "co2 violated: level 6, window 16" in lines
 
 
 def test_verify_locates_repeated_tree(monkeypatch):
@@ -168,3 +175,28 @@ def test_verify_locates_repeated_tree(monkeypatch):
     assert report.invariant_failures == [(6, 16, "co2"), (6, 18, "co2")]
     assert report.duplicates == [OrderedTree([1, 2, 2, 2, 2, 2])]
     assert report.missing == [OrderedTree([1, 2, 3, 3, 3, 3])]
+    lines = report.render().splitlines()
+    assert "duplicate: 1,2,2,2,2,2" in lines
+    assert "missing: 1,2,3,3,3,3" in lines
+    assert "not adjacent: positions 17,18" in lines
+    assert "co2 violated: level 6, window 18" in lines
+
+
+def test_gray_check_certifies_the_search(monkeypatch):
+    # A search that invents a move for non-adjacent pairs must not make them
+    # adjacent: is_adjacent replays the move and compares.
+    real = treegray.relations._move
+
+    def inventing(t, u):
+        m = real(t, u)
+        return Delta(t.size, t.size, 2) if m is None else m
+
+    monkeypatch.setattr(treegray.relations, "_move", inventing)
+    star, path = OrderedTree([1, 2, 2, 2, 2]), OrderedTree([1, 2, 3, 4, 5])
+    assert is_adjacent(star, path) is False
+
+    def swap(trees):
+        trees[3], trees[18] = trees[18], trees[3]
+
+    report = _verify_broken_n6(monkeypatch, swap)
+    assert report.adjacency_failures == [(2, 3), (3, 4), (17, 18), (18, 19)]

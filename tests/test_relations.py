@@ -250,7 +250,7 @@ def test_sibling_move_matches_delta():
             for a in kids:
                 for b in kids:
                     if a != b:
-                        assert Delta(*_sibling_move(p.levels, b.levels[-1])) == delta(a, b)
+                        assert _sibling_move(p.levels, b.levels[-1]) == delta(a, b)
                         pairs += 1
     assert pairs == 1608
 
