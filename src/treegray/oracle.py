@@ -1,24 +1,27 @@
 """Brute-force ground truth for the generator.
 
-Everything here is independent of the step rules: trees are enumerated by
-taking lexicographic successors of level sequences, counts come from the
-Catalan formula, and adjacency is re-checked with relations.is_adjacent.
+Everything here is independent of the step rules: trees are ranked and
+enumerated in the lexicographic order of level sequences, counts come from
+the Catalan formula, and adjacency is re-checked with relations.is_adjacent.
 That check certifies its answer rather than trusting the O(n) search
 relations._move that the generator's proof of each block boundary also runs:
 two children of one tree are adjacent when they differ, and for any other
 pair the search's move is replayed with apply_delta and compared with the
 second tree.  A _move that returned a move for a non-adjacent pair would
-fool the generator but not this check.  The enumeration is streamed, so
-the set of emitted level sequences that verify() keeps is the one stored
-copy of the trees.  verify() runs the generator with its defensive checks on
-and reports every deviation instead of raising, so a broken build still
-produces a readable report.
+fool the generator but not this check.  verify() stores no trees: one byte
+per lexicographic rank (ballot-number ranking, Zaks 1980) marks the trees
+seen, so unique and complete are "no byte set twice" and "no byte left at
+zero", and only a byte left at zero makes the lexicographic successor walk
+run, to name the missing trees.  verify() runs the generator with its
+defensive checks on and reports every deviation instead of raising, so a
+broken build still produces a readable report.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from .generator import StreamStats, gray_code
@@ -26,7 +29,9 @@ from .ordering import FORBIDDEN_CASES, check_co1, format_case_histogram
 from .relations import is_adjacent
 from .tree import OrderedTree
 
-# verify() stores every emitted level sequence, Catalan(n-1) of them.
+# verify() keeps one byte per tree, Catalan(n-1) of them (742,900 at n=14),
+# so the cap bounds run time, not memory: each vertex multiplies the trees by
+# about 3.6 at n=14 and n=15.
 ENUMERATION_CAP = 14
 
 ALL_CHECKS = ("gray", "unique", "complete", "co1", "co2", "cases")
@@ -54,6 +59,48 @@ def _successors(n: int) -> Iterator[tuple[int, ...]]:
         for i in range(j + 1, n):
             seq[i] = 2
     # The walk terminates at (1,2,3,...,n), the lexicographic maximum.
+
+
+def _rank_table(n: int) -> list[dict[int, int]]:
+    """table[i][v]: the size-n level sequences that agree with a given one
+    before position i and have an entry below v there.
+
+    v is a key of table[i] only where a level sequence can hold it: 2 to
+    i + 1 at a 0-based position i >= 1, and 1 at the root.  The count is
+    the number of ways to complete the sequence after each entry w from 2 to
+    v - 1, so summing one entry per position gives the position of a
+    sequence in the lexicographic order of enumerate_all.
+    """
+    # tails[w]: the ways to fill the positions after i when position i holds
+    # w; the entry after w is any x from 2 to w + 1.
+    tails = [1] * (n + 1)
+    table = []
+    for i in range(n - 1, 0, -1):
+        below = accumulate(tails[2 : i + 1], initial=0)
+        table.append(dict(zip(range(2, i + 2), below)))
+        tails = list(accumulate(tails[2:], initial=0))
+    table.append({1: 0})
+    table.reverse()
+    return table
+
+
+def _rank(levels: tuple[int, ...], table: list[dict[int, int]]) -> Optional[int]:
+    """The position of levels in enumerate_all(len(table)), or None if levels
+    is not a level sequence of that size: wrong length, a root other than 1,
+    an entry below 2, or an entry more than one above the one before it."""
+    if len(levels) != len(table):
+        return None
+    rank = 0
+    prev = 0
+    try:
+        for row, v in zip(table, levels):
+            if v > prev + 1:
+                return None
+            rank += row[v]  # KeyError: a level no position can hold
+            prev = v
+    except KeyError:
+        return None
+    return rank
 
 
 def enumerate_all(n: int) -> Iterator[OrderedTree]:
@@ -142,27 +189,51 @@ def _windowed(
         yield c
 
 
+def _ranked(
+    report: VerificationReport,
+    trees: Iterable[OrderedTree],
+    table: list[dict[int, int]],
+    seen: bytearray,
+    duplicates: list[OrderedTree],
+) -> Iterator[OrderedTree]:
+    """Pass trees through, setting the byte of each one's rank in seen and
+    appending a tree whose byte is already set to duplicates.  A record with
+    no rank ends the stream as the report's generation error, before any
+    check that assumes a tree of size n sees it."""
+    for pos, t in enumerate(trees):
+        rank = _rank(t.levels, table)
+        if rank is None:
+            report.generation_error = (
+                f"record {pos} is not a tree with {len(table)} vertices: {t}"
+            )
+            return
+        if seen[rank]:
+            duplicates.append(t)
+        seen[rank] = 1
+        yield t
+
+
 def _checked_run(
     report: VerificationReport,
     n: int,
     selected: tuple[str, ...],
     stats: Optional[StreamStats],
 ) -> None:
-    want_seen = "unique" in selected or "complete" in selected
     want_gray = "gray" in selected
-    seen: set[tuple[int, ...]] = set()
+    seen = bytearray(report.expected)
+    # Only the checks that look for duplicates report them.
+    duplicates = (
+        report.duplicates if "unique" in selected or "complete" in selected else []
+    )
     prev: Optional[OrderedTree] = None
     pos = 0
-    trees = gray_code(n, checked=True, stats=stats)
+    trees = _ranked(
+        report, gray_code(n, checked=True, stats=stats), _rank_table(n), seen, duplicates
+    )
     if "co2" in selected:
         trees = _windowed(report, n, "co2", trees)
     try:
         for t in trees:
-            if want_seen:
-                if t.levels in seen:
-                    report.duplicates.append(t)
-                else:
-                    seen.add(t.levels)
             if want_gray and prev is not None and not is_adjacent(prev, t):
                 report.adjacency_failures.append((pos - 1, pos))
             prev = t
@@ -170,10 +241,8 @@ def _checked_run(
     except RuntimeError as exc:
         report.generation_error = f"{type(exc).__name__}: {exc}"
     report.total = pos
-    if "complete" in selected and report.generation_error is None:
-        for t in enumerate_all(n):
-            if t.levels not in seen:
-                report.missing.append(t)
+    if "complete" in selected and report.generation_error is None and 0 in seen:
+        report.missing.extend(t for t, hit in zip(enumerate_all(n), seen) if not hit)
 
 
 def _co1_sweep(report: VerificationReport, n: int) -> None:

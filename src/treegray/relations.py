@@ -65,20 +65,26 @@ def is_copying(t: OrderedTree, u: OrderedTree) -> bool:
 
     The appended leaf stays rightmost, so the append must happen at level
     rpl(u); the deleted leaf is any leaf of child(t, rpl(u)) other than the
-    appended one.
+    appended one.  Deleting entry j of the grown sequence gives u exactly
+    when u matches it before j and matches it shifted by one from j on.  One
+    scan from the right finds s, the least j whose shifted suffix matches;
+    every other j that fits has equal entries from s to j, so s is a leaf
+    whenever one of them is.  u is a copy iff the prefix before s matches
+    too and entry s is a leaf.  That is O(n).
     """
-    if t.size != u.size:
-        raise ValueError(f"size mismatch: {t.size} vs {u.size}")
-    if t == u:
+    tl, ul = t.levels, u.levels
+    n = len(tl)
+    if n != len(ul):
+        raise ValueError(f"size mismatch: {n} vs {len(ul)}")
+    if tl == ul:
         raise ValueError("copying is defined for distinct trees only")
-    i = u.rpl
-    if i > t.rpl + 1:
+    if ul[-1] > tl[-1] + 1:  # rpl(u) > rpl(t) + 1: no child(t, rpl(u))
         return False
-    grown = t.levels + (i + 1,)
-    for j in range(t.size - 1, 0, -1):  # never the appended leaf at t.size
-        if grown[j + 1] <= grown[j] and grown[:j] + grown[j + 1 :] == u.levels:
-            return True
-    return False
+    grown = tl + (ul[-1],)
+    s = n - 1  # the appended leaf matches u's last entry
+    while grown[s] == ul[s - 1]:  # stops at 1: grown[1] >= 2 > ul[0]
+        s -= 1
+    return grown[:s] == ul[:s] and grown[s + 1] <= grown[s]
 
 
 def _move(t: OrderedTree, u: OrderedTree) -> Optional[Delta]:

@@ -1,4 +1,6 @@
 """The brute-force side: enumeration, Catalan counts, verification reports."""
+import tracemalloc
+
 import pytest
 
 import treegray.oracle
@@ -14,6 +16,7 @@ from treegray import (
     is_adjacent,
     verify,
 )
+from treegray.oracle import _rank, _rank_table
 
 
 @pytest.mark.parametrize(
@@ -68,6 +71,30 @@ def test_enumerate_all_streams_without_cap():
     # Bad sizes are rejected at the call, not on the first next().
     with pytest.raises(ValueError):
         enumerate_all(0)
+
+
+def test_rank_is_the_lexicographic_position():
+    for n in range(1, 12):
+        table = _rank_table(n)
+        for i, t in enumerate(enumerate_all(n)):
+            assert _rank(t.levels, table) == i, (n, t)
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [
+        (1, 2, 2, 2),
+        (1, 2, 2, 2, 2, 2),
+        (2, 2, 2, 2, 2),
+        (1, 2, 1, 2, 2),
+        (1, 2, 3, -1, 2),
+        (1, 2, 4, 2, 2),
+        (1, 2, 2, 4, 2),
+    ],
+    ids=["short", "long", "root-2", "entry-1", "entry-negative", "too-deep", "jump-2"],
+)
+def test_rank_rejects_non_trees(levels):
+    assert _rank(levels, _rank_table(5)) is None
 
 
 def test_verify_passes_small():
@@ -135,7 +162,7 @@ def test_report_fail_states():
     ).render()
 
 
-def _verify_broken_n6(monkeypatch, mutate):
+def _verify_broken_n6(monkeypatch, mutate, checks=None):
     # Feed verify a gray_code(6) damaged by mutate; smaller levels stay intact.
     def broken(k, **kwargs):
         trees = list(gray_code(k, **kwargs))
@@ -144,7 +171,51 @@ def _verify_broken_n6(monkeypatch, mutate):
         return iter(trees)
 
     monkeypatch.setattr(treegray.oracle, "gray_code", broken)
-    return verify(6)
+    return verify(6, checks)
+
+
+@pytest.mark.parametrize(
+    "checks", [None, ["gray"], ["co2"], ["unique", "complete"]], ids=str
+)
+@pytest.mark.parametrize(
+    "record",
+    [OrderedTree([1, 2, 3, 2, 2]), OrderedTree._trusted((1, 2, 4, 2, 2, 2))],
+    ids=["size-5", "jump-2"],
+)
+def test_verify_records_a_record_that_is_not_a_tree(monkeypatch, checks, record):
+    def replace(trees):
+        trees[5] = record
+
+    report = _verify_broken_n6(monkeypatch, replace, checks)
+    assert not report.passed
+    assert report.total == 5
+    assert report.generation_error == (
+        f"record 5 is not a tree with 6 vertices: {record}"
+    )
+    assert report.duplicates == [] and report.missing == []
+
+
+def test_passing_verify_does_not_enumerate(monkeypatch):
+    # The lexicographic walk runs only to name missing trees.
+    def walk(n):
+        raise AssertionError("enumerate_all called")
+
+    monkeypatch.setattr(treegray.oracle, "enumerate_all", walk)
+    assert verify(8).passed
+
+
+def test_verify_memory_does_not_hold_the_trees():
+    # One byte per tree: Catalan(9) = 4,862 trees at n=10, where a set of
+    # level tuples held about 480 KB.  The untraced run fills the
+    # interpreter's free lists first (see test_generator).
+    verify(10)
+    tracemalloc.start()
+    try:
+        assert verify(10).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 1024
 
 
 def test_verify_locates_swapped_trees(monkeypatch):

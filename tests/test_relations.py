@@ -195,6 +195,13 @@ def test_adjacent_matches_definition_on_random_pairs(pair):
     assert is_adjacent(t, u) == expected
 
 
+@given(st.one_of(_moved_pairs(), _independent_pairs()))
+def test_copying_matches_definition_on_random_pairs(pair):
+    t, u = pair
+    if t != u:  # copying is defined for distinct trees only
+        assert is_copying(t, u) == _copying_dumb(t, u)
+
+
 @pytest.mark.parametrize(
     "t,u,expected",
     [
