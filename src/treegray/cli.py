@@ -53,11 +53,11 @@ def _open_output(path: Optional[str]):
         raise ValueError(f"cannot open {path}: {exc.strerror}") from None
 
 
-def _warn_cap_override(n: int, default_cap: int) -> int:
+def _warn_cap_override(n: int, default_cap: int, cost: str) -> int:
     if n > default_cap:
         print(
             f"warning: n={n} is above the default cap of {default_cap}; "
-            "memory use grows like the Catalan numbers",
+            f"{cost} grows like the Catalan numbers",
             file=sys.stderr,
         )
     return max(n, default_cap)
@@ -87,7 +87,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError("empty check list")
     cap = ENUMERATION_CAP
     if args.override_cap:
-        cap = _warn_cap_override(args.n, ENUMERATION_CAP)
+        cap = _warn_cap_override(args.n, ENUMERATION_CAP, "run time")
     report = verify(args.n, checks=checks, cap=cap)
     sys.stdout.write(report.render())
     return 0 if report.passed else 1
@@ -101,7 +101,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_dot(args: argparse.Namespace) -> int:
     cap = FAMILY_TREE_CAP
     if args.override_cap:
-        cap = _warn_cap_override(args.n, FAMILY_TREE_CAP)
+        cap = _warn_cap_override(args.n, FAMILY_TREE_CAP, "memory use")
     text = export_dot(build_family_tree(args.n, cap=cap))
     with _open_output(args.output) as out:
         out.write(text)

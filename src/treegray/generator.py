@@ -10,11 +10,15 @@ walking down only as far as a level that still has a child to hand up, so
 no recursion limits n.  Only the current/lookahead pair of each level is
 retained, so the whole stack holds O(n) trees no matter how many it emits.
 
+Siblings in a block are adjacent by construction, so only block boundaries
+need proof, and each is proven once, where the next block starts: the level
+rebuilds its used-up block's last child and the one move search proves the
+step to the new block's first.  A checked run proves every level.
+
 The top level yields trees, or with moves=True the first tree followed by
 one canonical move per step: a sibling step's move is read off the child
-index without building a tree, and a block boundary builds just its two
-trees and finds the move with the one search that also proves adjacency.
-Both give the relations.Delta that is yielded as it stands.
+index without building a tree, and a boundary's move is its proof.  Both
+give the relations.Delta that is yielded as it stands.
 
 The full family tree (every tree of sizes 1..n with ordered child lists) is
 assembled from the same per-level streams for DOT export and cross-checks:
@@ -47,8 +51,9 @@ class StreamStats:
     """Instrumentation collected during one generation run.
 
     vertex_writes counts every level-sequence entry written while
-    materializing trees (a size-k tree costs k writes); under moves=True only
-    the boundary trees are built at level n, so only they count there.
+    materializing trees (a size-k tree costs k writes), including the last
+    child each proven block boundary rebuilds; under moves=True only the
+    boundary trees are built at level n, so only they count there.
     emitted counts records produced per level: trees, and at level n under
     moves=True every record, moves included.  case_counts tallies every step
     label, including forbidden ones, before any error is raised.  max_held
@@ -72,25 +77,18 @@ class StreamStats:
         return sum(self.emitted.values())
 
 
-def _child(t: OrderedTree, i: int, stats: Optional[StreamStats]) -> OrderedTree:
-    c = t.child(i)
-    if stats is not None:
-        stats.vertex_writes += c.size
-    return c
-
-
 class _Level:
     """The state of level k of the stack, which emits the trees of size k.
 
     Its current block is the children of cur (a tree of level k-1) in the
-    child-index order `order`, of which the first `pos` are emitted and `last`
-    is the latest.  nxt is the lookahead tree of level k-1, None once cur is
-    that level's final tree, and lm is the leftmost child index fixed for
-    nxt's block.  index is cur's 0-based position in level k-1 and case the
-    step label that planned the block.
+    child-index order `order`, of which the first `pos` are emitted.  nxt is
+    the lookahead tree of level k-1, None once cur is that level's final tree,
+    and lm is the leftmost child index fixed for nxt's block.  index is cur's
+    0-based position in level k-1 and case the step label that planned the
+    block.
     """
 
-    __slots__ = ("cur", "nxt", "lm", "order", "pos", "last", "index", "case")
+    __slots__ = ("cur", "nxt", "lm", "order", "pos", "index", "case")
 
     def __init__(self, nxt: Optional[OrderedTree]):
         self.cur: Optional[OrderedTree] = None
@@ -98,14 +96,13 @@ class _Level:
         self.lm = 1
         self.order: tuple[int, ...] = ()
         self.pos = 0
-        self.last: Optional[OrderedTree] = None
         self.index = -1
         self.case: Optional[Case] = None
 
 
 def _emit(lv: _Level, k: int, stats: Optional[StreamStats]) -> OrderedTree:
-    # The next child of a level below the top, handed to the level above.
-    lv.last = t = lv.cur.child(lv.order[lv.pos])
+    # The next child of level k's current block.
+    t = lv.cur.child(lv.order[lv.pos])
     lv.pos += 1
     if stats is not None:
         stats.vertex_writes += k
@@ -113,32 +110,16 @@ def _emit(lv: _Level, k: int, stats: Optional[StreamStats]) -> OrderedTree:
     return t
 
 
-def _boundary_move(lv: _Level, k: int, stats: Optional[StreamStats]) -> Delta:
-    """The move from level k's last child to the first child of nxt's block.
-
-    It is both the adjacency proof and, at the top of a move stream, the
-    record emitted for the step.
-    """
-    first = _child(lv.nxt, lv.lm, stats)
-    m = _move(lv.last, first)
-    if m is None:
-        raise AdjacencyViolationError(
-            f"adjacency violation in case {lv.case} at level {k} after "
-            f"position {lv.index} of level {k - 1}: {lv.last} vs {first}"
-        )
-    return m
-
-
 def _advance(
-    levels: list[_Level], k: int, checked: bool, stats: Optional[StreamStats]
-) -> None:
-    """Start level k's next block; its current one is used up and nxt is set.
+    levels: list[_Level], k: int, proven: int, stats: Optional[StreamStats]
+) -> tuple[OrderedTree, Optional[Delta]]:
+    """Start level k's next block; return its first child and the move to it.
 
     nxt's successor in level k-1 comes from the highest level below whose
     block still has a child, or None if the level below that has run out.
-    Every level passed over on the way down is used up too: its block
-    boundary is checked there, and on the way back up it starts its next
-    block with the tree handed up from below.
+    Every level passed over on the way down is used up too; on the way back
+    up each starts its next block with the tree handed up from below, and
+    one at or above `proven` proves the move into it (else the move is None).
     """
     j = k - 1
     below = levels[j]
@@ -146,8 +127,6 @@ def _advance(
         if below.nxt is None:
             t: Optional[OrderedTree] = None
             break
-        if checked:
-            _boundary_move(below, j, stats)
         j -= 1
         below = levels[j]
     else:
@@ -155,6 +134,13 @@ def _advance(
     while j < k:
         j += 1
         lv = levels[j]
+        last = None
+        if j >= proven and lv.order:
+            # The used-up block's last child, and where that block stood.
+            last = lv.cur.child(lv.order[-1])
+            last_case, last_index = lv.case, lv.index
+            if stats is not None:
+                stats.vertex_writes += j
         lv.cur = cur = lv.nxt
         lv.nxt = t
         lv.index += 1
@@ -173,34 +159,40 @@ def _advance(
         lv.case = case
         lv.order = order
         lv.pos = 0
-        if j < k:
-            t = _emit(lv, j, stats)
+        t = _emit(lv, j, stats)
+        m = None
+        if last is not None:
+            m = _move(last, t)
+            if m is None:
+                raise AdjacencyViolationError(
+                    f"adjacency violation in case {last_case} at level {j} "
+                    f"after position {last_index} of level {j - 1}: {last} vs {t}"
+                )
+    return t, m
 
 
 def _records(
     n: int, checked: bool, moves: bool, stats: Optional[StreamStats]
 ) -> Iterator[Union[OrderedTree, Delta]]:
-    root = OrderedTree._trusted((1,))
+    # Levels from `proven` up prove each block boundary: all of them when
+    # checked, else only the top of a move stream, whose moves are proofs.
+    proven = 2 if checked else n if moves else n + 1
+    t = OrderedTree._trusted((1,))
     if stats is not None:
         stats.vertex_writes += 1
         stats.emitted[1] += 1
     if n == 1:
-        yield root
+        yield t
         return
     # levels[k] is level k (levels[0] is padding).  Level 1 is used up from
     # the start; each higher level begins with the first tree of the level
     # below as its lookahead.
-    levels = [_Level(None), _Level(None), _Level(root)]
-    for k in range(2, n):
-        _advance(levels, k, checked, stats)
-        levels.append(_Level(_emit(levels[k], k, stats)))
+    levels = [_Level(None), _Level(None)]
+    for k in range(2, n + 1):
+        levels.append(_Level(t))
+        t, _ = _advance(levels, k, proven, stats)
     top = levels[n]
-    _advance(levels, n, checked, stats)
-    if moves:
-        first = _child(top.cur, top.order[0], stats)
-        if stats is not None:
-            stats.emitted[n] += 1
-        yield first
+    yield t
     while True:
         cur, order = top.cur, top.order
         if moves:
@@ -211,24 +203,16 @@ def _records(
                     stats.emitted[n] += 1
                 yield _sibling_move(parent, i + 1)
         else:
-            for i in order:
+            for i in order[1:]:
                 t = cur.child(i)
                 if stats is not None:
                     stats.vertex_writes += n
                     stats.emitted[n] += 1
                 yield t
-            top.last = t
         if top.nxt is None:
             return
-        if moves:
-            top.last = _child(cur, order[-1], stats)
-            m = _boundary_move(top, n, stats)
-            if stats is not None:
-                stats.emitted[n] += 1
-            yield m
-        elif checked:
-            _boundary_move(top, n, stats)
-        _advance(levels, n, checked, stats)
+        t, m = _advance(levels, n, proven, stats)
+        yield m if moves else t
 
 
 def gray_code(
@@ -241,12 +225,12 @@ def gray_code(
     """Yield every ordered tree with n vertices, consecutive trees adjacent.
 
     The first tree is the star (level sequence 1,2,2,...,2).  With
-    checked=True every boundary pair between sibling blocks is verified as it
-    is produced.  With moves=True only the first tree is yielded, followed by
-    the canonical Delta of each step (the same as relations.delta gives);
-    sibling steps are read off the child index and each boundary move is
-    proven by the search that finds it, checked or not.  Pass a StreamStats
-    to collect counters.
+    checked=True every boundary between sibling blocks, at every level of the
+    stack, is proven once, where the next block starts.  With moves=True only
+    the first tree is yielded, followed by the canonical Delta of each step
+    (the same as relations.delta gives); sibling steps are read off the child
+    index and each boundary move is proven by the search that finds it,
+    checked or not.  Pass a StreamStats to collect counters.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")

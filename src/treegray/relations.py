@@ -56,7 +56,7 @@ def has_pony_tail(tree: OrderedTree) -> bool:
     vertex is the root's rightmost child and the single level-3 vertex after
     it is its only descendant.
     """
-    return tree.size >= 3 and tree.levels[-2:] == (2, 3)
+    return tree.levels[-2:] == (2, 3)
 
 
 def is_copying(t: OrderedTree, u: OrderedTree) -> bool:

@@ -222,6 +222,17 @@ def test_override_cap_warns_above_the_default_cap(monkeypatch, capsys):
     )
 
 
+def test_override_cap_warns_of_run_time_for_verify(monkeypatch, capsys):
+    # verify keeps one byte per tree, so its cap bounds run time, not memory.
+    monkeypatch.setattr(treegray.cli, "ENUMERATION_CAP", 3)
+    code, out, err = run(capsys, "verify", "--n", "4", "--override-cap")
+    assert code == 0 and out.startswith("PASS")
+    assert err == (
+        "warning: n=4 is above the default cap of 3; "
+        "run time grows like the Catalan numbers\n"
+    )
+
+
 def test_gen_into_closed_pipe_exits_0():
     # The reader takes one line and closes the pipe, as `head -1` would.
     src = Path(__file__).resolve().parents[1] / "src"

@@ -136,6 +136,29 @@ def test_adjacency_violation_names_level_position_and_case(broken_next_leftmost)
         assert str(exc.value) == want
 
 
+def test_violation_is_caught_at_the_lowest_proven_level(broken_next_leftmost):
+    # At n=8 the broken boundary sits on level 7, below the top.  A checked
+    # run proves every level, so it is caught there; an unchecked move stream
+    # proves only level 8, where the bad level-7 trees break a later boundary;
+    # an unchecked tree stream proves nothing.
+    low = (
+        "adjacency violation in case 2a1 at level 7 after position 3 of "
+        "level 6: 1,2,2,2,3,2,3 vs 1,2,2,2,3,4,3"
+    )
+    top = (
+        "adjacency violation in case 4a1 at level 8 after position 9 of "
+        "level 7: 1,2,2,2,3,2,3,3 vs 1,2,2,2,3,4,3,3"
+    )
+    for moves in (False, True):
+        with pytest.raises(AdjacencyViolationError) as exc:
+            list(gray_code(8, moves=moves))
+        assert str(exc.value) == low
+    assert sum(1 for _ in gray_code(8, checked=False)) == catalan(7)
+    with pytest.raises(AdjacencyViolationError) as exc:
+        list(gray_code(8, checked=False, moves=True))
+    assert str(exc.value) == top
+
+
 def test_delta_stream_rejects_small_n():
     with pytest.raises(ValueError):
         delta_stream(1)
@@ -173,6 +196,15 @@ def test_stats_vertex_writes_unchecked_is_one_tree_each():
     for _ in gray_code(8, stats=checked):
         pass
     assert checked.vertex_writes > stats.vertex_writes
+    # A checked run also rebuilds, at each of level k's catalan(k - 2) - 1
+    # block boundaries, the used-up block's last child.
+    for n, want in ((6, 453), (8, 6144), (10, 85776)):
+        checked = StreamStats()
+        for _ in gray_code(n, stats=checked):
+            pass
+        trees = sum(k * catalan(k - 1) for k in range(1, n + 1))
+        proofs = sum(k * (catalan(k - 2) - 1) for k in range(2, n + 1))
+        assert checked.vertex_writes == trees + proofs == want, n
 
 
 def test_stats_under_moves_count_records_and_boundary_trees():
