@@ -3,6 +3,9 @@
 Subcommands: gen (stream the Gray code), verify (oracle report), count
 (Catalan count), dot (family-tree export), bench (timing and write counts).
 Exit codes: 0 success, 1 verification or generation failure, 2 usage error.
+
+gen renders its records with the text functions of treegray.tree:
+level_lines, encode_parens, and str for the delta format.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from .generator import (
 from .oracle import ALL_CHECKS, ENUMERATION_CAP, catalan, verify
 # bench/tracer.py wraps cli.delta by name, so it stays bound.
 from .relations import delta  # noqa: F401
-from .tree import encode_parens
+from .tree import encode_parens, level_lines
 
 
 def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
@@ -65,17 +68,20 @@ def _warn_cap_override(n: int, default_cap: int, cost: str) -> int:
 
 def _gen_lines(n: int, fmt: str, checked: bool) -> Iterator[str]:
     records = gray_code(n, checked=checked, moves=fmt == "delta")
-    render = encode_parens if fmt == "parens" else str
-    for record in records:
-        yield render(record)
+    if fmt == "levels":
+        return level_lines(records)
+    return map(encode_parens if fmt == "parens" else str, records)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     lines = _gen_lines(args.n, args.format, not args.unchecked)
     with _open_output(args.output) as out:
+        # One write and one flush per record: each line is delivered as soon
+        # as it is generated.
+        write, flush = out.write, out.flush
         for line in itertools.islice(lines, args.limit):
-            out.write(line + "\n")
-            out.flush()
+            write(line + "\n")
+            flush()
     return 0
 
 

@@ -4,10 +4,14 @@ A tree with the root at level 1 is written as the sequence of vertex levels
 in preorder.  Such a sequence is valid iff it starts with 1 and every later
 entry e satisfies 2 <= e <= previous + 1.  The representation is canonical:
 two ordered trees are equal exactly when their level sequences are.
+
+This module owns both text formats: the comma-separated level sequence
+(``str(tree)``, and ``level_lines`` for a stream of trees) and the balanced
+parentheses (``encode_parens``/``decode_parens``).
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class InvalidLevelSequence(ValueError):
@@ -102,7 +106,40 @@ class OrderedTree:
         return f"OrderedTree({list(self.levels)})"
 
     def __str__(self) -> str:
-        return ",".join(str(e) for e in self.levels)
+        return _text(self.levels)[:-1]
+
+
+# "%d," * k for each length k rendered so far.  Keyed by the lengths in use,
+# not a table of every length up to n, which would hold O(n^2) characters.
+_TEMPLATES: dict[int, str] = {}
+
+
+def _text(levels: tuple[int, ...]) -> str:
+    """``levels`` as "e1,e2,...,ek," in one C-level % call ("" for ())."""
+    k = len(levels)
+    template = _TEMPLATES.get(k)
+    if template is None:
+        template = _TEMPLATES[k] = "%d," * k
+    return template % levels
+
+
+def level_lines(trees: Iterable[OrderedTree]) -> Iterator[str]:
+    """Yield ``str(tree)`` for each tree, rendering shared heads once.
+
+    The children of one tree share every level but the last, so the text of
+    ``levels[:-1]`` (the block's head) is rendered once and reused while the
+    next tree's head equals it; any other head is rendered again.  Each line
+    therefore equals ``str(tree)`` whatever order the trees come in.
+    """
+    shared = None
+    head = ""
+    for tree in trees:
+        levels = tree.levels
+        prefix = levels[:-1]
+        if prefix != shared:
+            shared = prefix
+            head = _text(prefix)
+        yield f"{head}{levels[-1]}"
 
 
 def encode_parens(tree: OrderedTree) -> str:

@@ -30,6 +30,14 @@ def test_gen_levels_n4(capsys):
     ]
 
 
+@pytest.mark.parametrize("fmt,line", [("levels", "1"), ("delta", "1"), ("parens", "()")])
+def test_gen_single_vertex(capsys, fmt, line):
+    # n=1 is the one size whose shared head is empty.
+    code, out, err = run(capsys, "gen", "--n", "1", "--format", fmt)
+    assert code == 0 and err == ""
+    assert out == line + "\n"
+
+
 def test_gen_parens(capsys):
     code, out, _ = run(capsys, "gen", "--n", "4", "--format", "parens")
     assert code == 0

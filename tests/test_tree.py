@@ -1,4 +1,9 @@
-"""Level-sequence encoding: construction, navigation, parentheses."""
+"""Level-sequence encoding: construction, navigation, text formats."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,8 +13,21 @@ from treegray import (
     decode_parens,
     encode_parens,
     enumerate_all,
+    gray_code,
     parse_tree,
 )
+from treegray.tree import level_lines
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def joined(tree):
+    """The reference rendering of a level sequence, one str() per entry."""
+    return ",".join(map(str, tree.levels))
+
+
+def assert_lines_match(trees):
+    assert list(level_lines(trees)) == [str(t) for t in trees] == list(map(joined, trees))
 
 
 def test_single_vertex():
@@ -176,3 +194,70 @@ def test_mutated_sequences_rejected(seq, pos):
     bad[pos] = (bad[pos - 1] + 2) if pos else 2  # break the step rule
     with pytest.raises(InvalidLevelSequence):
         OrderedTree(bad)
+
+
+@st.composite
+def deep_level_sequences(draw):
+    # Step up half the time, so that two-digit levels are drawn often.
+    n = draw(st.integers(min_value=1, max_value=60))
+    seq = [1]
+    for _ in range(n - 1):
+        up = draw(st.booleans())
+        seq.append(
+            seq[-1] + 1 if up else draw(st.integers(min_value=2, max_value=seq[-1] + 1))
+        )
+    return OrderedTree(seq)
+
+
+@given(deep_level_sequences())
+def test_str_matches_joined_entries(t):
+    assert str(t) == joined(t)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_level_lines_match_str_on_the_gray_code(n):
+    assert_lines_match(list(gray_code(n, checked=False)))
+
+
+@given(st.lists(deep_level_sequences(), min_size=1, max_size=8))
+def test_level_lines_match_str_on_drawn_trees(drawn):
+    # Each drawn tree followed by all its siblings: runs that share a head,
+    # separated by heads of other lengths and values.
+    trees = []
+    for t in drawn:
+        trees.append(t)
+        if t.size > 1:
+            trees.extend(t.parent().children())
+    assert_lines_match(trees)
+
+
+def test_level_lines_render_the_head_again_for_non_siblings():
+    trees = list(enumerate_all(7))[::-1]
+    heads = {t.levels[:-1] for t in trees}
+    assert len(heads) > 1
+    assert_lines_match(trees)
+
+
+def test_level_lines_memory_stays_linear_in_n():
+    # A fresh interpreter, so that no earlier test has rendered this size.
+    # A template per length up to n=2000 would hold about 6 MB; rendering a
+    # 1,000-record prefix needs one head of about 4 kB and one template.
+    code = """
+import itertools, tracemalloc
+from treegray import gray_code
+from treegray.tree import level_lines
+records = list(itertools.islice(gray_code(2000, checked=False), 1000))
+tracemalloc.start()
+for _ in level_lines(records):
+    pass
+print(tracemalloc.get_traced_memory()[1])
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert int(proc.stdout) < 1_000_000
