@@ -30,10 +30,7 @@ from .ordering import (
     format_case_histogram,
 )
 from .generator import (
-    FAMILY_TREE_CAP,
-    FamilyTree,
     StreamStats,
-    build_family_tree,
     delta_stream,
     export_dot,
     gray_code,
@@ -56,9 +53,7 @@ __all__ = [
     "CaseExhaustionError",
     "Delta",
     "ENUMERATION_CAP",
-    "FAMILY_TREE_CAP",
     "FORBIDDEN_CASES",
-    "FamilyTree",
     "ForbiddenCaseError",
     "InvalidLevelSequence",
     "NotAdjacentError",
@@ -66,7 +61,6 @@ __all__ = [
     "StreamStats",
     "VerificationReport",
     "apply_delta",
-    "build_family_tree",
     "catalan",
     "check_co1",
     "decode_parens",

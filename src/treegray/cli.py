@@ -3,6 +3,8 @@
 Subcommands: gen (stream the Gray code), verify (oracle report), count
 (Catalan count), dot (family-tree export), bench (timing and write counts).
 Exit codes: 0 success, 1 verification or generation failure, 2 usage error.
+Arguments are checked before any output is written, so a ValueError raised
+while gen or dot is writing is a generation failure, not a usage error.
 
 gen renders its records with the text functions of treegray.tree:
 level_lines, encode_parens, and str for the delta format.
@@ -17,17 +19,15 @@ import sys
 import time
 from typing import Callable, Iterator, Optional
 
-from .generator import (
-    FAMILY_TREE_CAP,
-    StreamStats,
-    build_family_tree,
-    export_dot,
-    gray_code,
-)
+from .generator import StreamStats, export_dot, gray_code
 from .oracle import ALL_CHECKS, ENUMERATION_CAP, catalan, verify
 # bench/tracer.py wraps cli.delta by name, so it stays bound.
 from .relations import delta  # noqa: F401
 from .tree import encode_parens, level_lines
+
+# dot streams its output, so its cap bounds output size, not memory: n=12
+# writes 82,500 nodes and 6.9 MB.
+DOT_CAP = 12
 
 
 def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
@@ -66,6 +66,11 @@ def _warn_cap_override(n: int, default_cap: int, cost: str) -> int:
     return max(n, default_cap)
 
 
+def _fail(exc: Exception) -> int:
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 1
+
+
 def _gen_lines(n: int, fmt: str, checked: bool) -> Iterator[str]:
     records = gray_code(n, checked=checked, moves=fmt == "delta")
     if fmt == "levels":
@@ -79,9 +84,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         # One write and one flush per record: each line is delivered as soon
         # as it is generated.
         write, flush = out.write, out.flush
-        for line in itertools.islice(lines, args.limit):
-            write(line + "\n")
-            flush()
+        try:
+            for line in itertools.islice(lines, args.limit):
+                write(line + "\n")
+                flush()
+        except ValueError as exc:
+            return _fail(exc)
     return 0
 
 
@@ -89,8 +97,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks = None
     if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-        if not checks:
-            raise ValueError("empty check list")
     cap = ENUMERATION_CAP
     if args.override_cap:
         cap = _warn_cap_override(args.n, ENUMERATION_CAP, "run time")
@@ -105,12 +111,16 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    cap = FAMILY_TREE_CAP
+    cap = DOT_CAP
     if args.override_cap:
-        cap = _warn_cap_override(args.n, FAMILY_TREE_CAP, "memory use")
-    text = export_dot(build_family_tree(args.n, cap=cap))
+        cap = _warn_cap_override(args.n, DOT_CAP, "output size")
+    if args.n > cap:
+        raise ValueError(f"cap exceeded: n={args.n} is above the cap of {cap}")
     with _open_output(args.output) as out:
-        out.write(text)
+        try:
+            out.writelines(export_dot(args.n))
+        except ValueError as exc:
+            return _fail(exc)
     return 0
 
 
@@ -188,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     dot.add_argument(
         "--override-cap",
         action="store_true",
-        help=f"allow n above the default cap of {FAMILY_TREE_CAP}",
+        help=f"allow n above the default cap of {DOT_CAP}",
     )
     dot.set_defaults(func=_cmd_dot)
 
@@ -213,8 +223,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     except BrokenPipeError:
         # Downstream closed the pipe (e.g. head); suppress the shutdown noise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -20,11 +20,10 @@ one canonical move per step: a sibling step's move is read off the child
 index without building a tree, and a boundary's move is its proof.  Both
 give the relations.Delta that is yielded as it stands.
 
-The full family tree (every tree of sizes 1..n with ordered child lists) is
-assembled from the same per-level streams for DOT export and cross-checks:
-level k+1 read in order is the concatenation of the child blocks of level k.
-It is eager and therefore capped, because level sizes grow like Catalan
-numbers.
+The per-level streams are the family tree, in which a tree's parent is
+itself minus its rightmost leaf: level k+1 read in order is the
+concatenation of the child blocks of level k.  export_dot writes it as
+Graphviz text straight from those streams.
 """
 from __future__ import annotations
 
@@ -253,67 +252,28 @@ def delta_stream(
     return itertools.islice(records, 1, None)
 
 
-FAMILY_TREE_CAP = 12
+def export_dot(n: int) -> Iterator[str]:
+    """Yield the family tree of sizes 1..n as Graphviz DOT text, in pieces.
 
-
-@dataclass(frozen=True)
-class FamilyTree:
-    """Every ordered tree of sizes 1..n, each linked to its ordered children.
-
-    A node's parent is itself minus its rightmost leaf; child lists carry the
-    left-to-right order chosen by the step rules, so the level-k nodes read in
-    leaf order are exactly gray_code(k).
+    Each size k is one rank, read from gray_code(k).  The edges are
+    parent(c) -> c for every c of sizes 2..n in stream order, which lists
+    each tree's children in step-rule order, and `ordering=out` keeps that
+    order.  Node ids are parenthesis encodings.  One stream is open at a
+    time, so the text is produced holding O(n) trees.
     """
-
-    n: int
-    levels: tuple[tuple[OrderedTree, ...], ...]
-    children: dict[OrderedTree, tuple[OrderedTree, ...]]
-
-    def level(self, k: int) -> tuple[OrderedTree, ...]:
-        if not 1 <= k <= self.n:
-            raise ValueError(f"level must be in 1..{self.n}, got {k}")
-        return self.levels[k - 1]
-
-    @property
-    def node_count(self) -> int:
-        return sum(len(level) for level in self.levels)
-
-
-def build_family_tree(n: int, cap: int = FAMILY_TREE_CAP) -> FamilyTree:
-    """Materialize the family tree for sizes 1..n.  Eager, so capped."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > cap:
-        raise ValueError(f"cap exceeded: n={n} is above the cap of {cap}")
-    levels = tuple(tuple(gray_code(k, checked=False)) for k in range(1, n + 1))
-    children: dict[OrderedTree, tuple[OrderedTree, ...]] = {
-        t: () for level in levels for t in level
-    }
-    # Each level lists the children of each tree below as one contiguous block.
-    for level in levels[1:]:
-        for parent, block in itertools.groupby(level, key=OrderedTree.parent):
-            children[parent] = tuple(block)
-    return FamilyTree(n, levels, children)
+    return _dot(n)
 
 
-def export_dot(ft: FamilyTree) -> str:
-    """Render a family tree as a Graphviz digraph.
-
-    Node ids are parenthesis encodings; `ordering=out` preserves the child
-    order; each size class sits on its own rank.  Output is deterministic.
-    """
-    lines = [
-        "digraph family_tree {",
-        "  graph [ordering=out];",
-        "  node [shape=box];",
-    ]
-    for level in ft.levels:
-        ids = " ".join(f'"{encode_parens(t)}";' for t in level)
-        lines.append(f"  {{ rank=same; {ids} }}")
-    for level in ft.levels:
-        for t in level:
-            tid = encode_parens(t)
-            for c in ft.children[t]:
-                lines.append(f'  "{tid}" -> "{encode_parens(c)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _dot(n: int) -> Iterator[str]:
+    yield "digraph family_tree {\n  graph [ordering=out];\n  node [shape=box];\n"
+    for k in range(1, n + 1):
+        yield "  { rank=same;"
+        for t in gray_code(k, checked=False):
+            yield f' "{encode_parens(t)}";'
+        yield " }\n"
+    for k in range(2, n + 1):
+        for c in gray_code(k, checked=False):
+            yield f'  "{encode_parens(c.parent())}" -> "{encode_parens(c)}";\n'
+    yield "}\n"

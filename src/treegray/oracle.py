@@ -238,7 +238,7 @@ def _checked_run(
                 report.adjacency_failures.append((pos - 1, pos))
             prev = t
             pos += 1
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         report.generation_error = f"{type(exc).__name__}: {exc}"
     report.total = pos
     if "complete" in selected and report.generation_error is None and 0 in seen:
@@ -252,7 +252,7 @@ def _co1_sweep(report: VerificationReport, n: int) -> None:
         try:
             for _ in _windowed(report, k, "co1", gray_code(k, checked=False)):
                 pass
-        except RuntimeError as exc:
+        except (RuntimeError, ValueError) as exc:
             report.generation_error = f"{type(exc).__name__}: {exc}"
             return
 
@@ -264,14 +264,19 @@ def verify(
 ) -> VerificationReport:
     """Run the generator under full instrumentation and report all deviations.
 
-    checks selects a subset of {gray, unique, complete, co1, co2, cases};
-    the default runs everything.  Failures are recorded, never raised.
+    checks selects a non-empty subset of {gray, unique, complete, co1, co2,
+    cases}; the default runs everything.  Failures are recorded, never
+    raised.  The arguments are checked before the run, so a ValueError in it
+    is a generator fault too (a broken step rule can hand OrderedTree.child
+    an index out of range).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > cap:
         raise ValueError(f"cap exceeded: n={n} is above the cap of {cap}")
     selected = tuple(ALL_CHECKS) if checks is None else tuple(checks)
+    if not selected:
+        raise ValueError("empty check list")
     unknown = set(selected) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(

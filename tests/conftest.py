@@ -18,3 +18,19 @@ def broken_next_leftmost(monkeypatch):
         return case, order, nl
 
     monkeypatch.setattr(treegray.generator, "plan_step", plan_step)
+
+
+@pytest.fixture
+def broken_child_index(monkeypatch):
+    """Make plan_step order the children of level 6's tree 3, 1,2,2,2,3,2
+    (rpl 1), with an out-of-range last index 3, so OrderedTree.child raises
+    ValueError when level 7 reaches that child."""
+    real = treegray.generator.plan_step
+
+    def plan_step(cur, nxt, lm):
+        case, order, nl = real(cur, nxt, lm)
+        if cur.levels == (1, 2, 2, 2, 3, 2):
+            return case, order[:-1] + (3,), nl
+        return case, order, nl
+
+    monkeypatch.setattr(treegray.generator, "plan_step", plan_step)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import treegray.cli
-from treegray import Delta, apply_delta, build_family_tree, export_dot, parse_tree
+from treegray import Delta, apply_delta, export_dot, parse_tree
 from treegray.cli import main
 
 
@@ -123,7 +123,7 @@ def test_gen_deterministic(capsys):
 
 
 # SHA-256 of `gen --n N --format F` output for N = 2..11, in order, and of
-# export_dot(build_family_tree(8)).  Any change to the order breaks these.
+# export_dot(8).  Any change to the order breaks these.
 GEN_DIGESTS = {
     "levels": [
         "52186c933993da4082b3cdc7c40bb4bf735b391ff54a2ef78c037dda6c38a680",  # n=2
@@ -173,7 +173,7 @@ def test_output_digests_pinned(capsys):
             assert code == 0
             digest = hashlib.sha256(out.encode("ascii")).hexdigest()
             assert digest == want, (fmt, extra, n)
-    dot = export_dot(build_family_tree(8)).encode("ascii")
+    dot = "".join(export_dot(8)).encode("ascii")
     assert hashlib.sha256(dot).hexdigest() == DOT8_DIGEST
 
 def test_count(capsys):
@@ -221,12 +221,13 @@ def test_override_cap_accepted_for_small_n(capsys):
 
 
 def test_override_cap_warns_above_the_default_cap(monkeypatch, capsys):
-    monkeypatch.setattr(treegray.cli, "FAMILY_TREE_CAP", 3)
+    # dot streams, so its cap bounds output size, not memory.
+    monkeypatch.setattr(treegray.cli, "DOT_CAP", 3)
     code, out, err = run(capsys, "dot", "--n", "4", "--override-cap")
     assert code == 0 and out.startswith("digraph family_tree {")
     assert err == (
         "warning: n=4 is above the default cap of 3; "
-        "memory use grows like the Catalan numbers\n"
+        "output size grows like the Catalan numbers\n"
     )
 
 
@@ -269,6 +270,37 @@ def test_dot_above_cap(capsys):
     code, _, err = run(capsys, "dot", "--n", "40")
     assert code == 2
     assert "cap exceeded" in err
+
+
+def test_dot_above_cap_opens_no_output(tmp_path, capsys):
+    # The export is lazy, so the cap must be checked before the file opens.
+    path = tmp_path / "family.dot"
+    code, out, err = run(capsys, "dot", "--n", "40", "--output", str(path))
+    assert code == 2 and out == ""
+    assert "cap exceeded" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "8"],
+        ["gen", "--n", "8"],
+        ["gen", "--n", "8", "--unchecked"],
+        ["dot", "--n", "8"],
+    ],
+    ids=["verify", "gen", "gen-unchecked", "dot"],
+)
+def test_generator_value_error_exits_1(broken_child_index, capsys, argv):
+    # A ValueError out of a running generator is a generation failure, not a
+    # usage error: every argument was checked before the first record.
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    fault = "ValueError: child index 3 outside 1..2 for 1,2,2,2,3,2"
+    if argv[0] == "verify":
+        assert out.startswith("FAIL n=8 ") and f"generation error: {fault}\n" in out
+    else:
+        assert err == f"error: {fault}\n"
 
 
 def test_dot_deterministic(tmp_path, capsys):

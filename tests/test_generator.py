@@ -1,4 +1,5 @@
-"""Streaming generation, deltas, family tree, DOT export."""
+"""Streaming generation, deltas, the family tree the per-level streams form,
+and its streamed DOT export."""
 import itertools
 import tracemalloc
 
@@ -7,11 +8,9 @@ import pytest
 from treegray import (
     AdjacencyViolationError,
     Delta,
-    FamilyTree,
     OrderedTree,
     StreamStats,
     apply_delta,
-    build_family_tree,
     catalan,
     delta,
     delta_stream,
@@ -269,60 +268,44 @@ def test_write_work_within_quadratic_envelope():
         assert w <= constant * c * n * n, n
 
 
+def _family_blocks(k):
+    # Level k read in order, cut into runs of equal parent: the child blocks.
+    return [
+        (parent, list(block))
+        for parent, block in itertools.groupby(gray_code(k), key=OrderedTree.parent)
+    ]
+
+
 def test_family_tree_chain_n2():
-    ft = build_family_tree(2)
-    assert ft.levels == ((T(1),), (T(1, 2),))
-    assert ft.children[T(1)] == (T(1, 2),)
-    assert ft.children[T(1, 2)] == ()
+    assert _family_blocks(2) == [(T(1), [T(1, 2)])]
 
 
 def test_family_tree_level_sizes():
-    ft = build_family_tree(5)
-    assert [len(level) for level in ft.levels] == [1, 1, 2, 5, 14]
-    assert ft.node_count == 23
+    assert [sum(1 for _ in gray_code(k)) for k in range(1, 6)] == [1, 1, 2, 5, 14]
 
 
 def test_family_tree_levels_match_stream():
-    ft = build_family_tree(7)
-    for k in range(1, 8):
-        assert list(ft.level(k)) == list(gray_code(k)), k
+    # Level k+1 lists the child blocks of level k's trees, in order.
+    for k in range(1, 7):
+        assert [p for p, _ in _family_blocks(k + 1)] == list(gray_code(k)), k
 
 
 def test_family_tree_child_counts():
-    ft = build_family_tree(6)
     for k in range(1, 6):
-        for t in ft.level(k):
-            kids = ft.children[t]
-            assert len(kids) == t.rpl + 1
-            assert all(c.parent() == t for c in kids)
-            assert set(kids) == set(t.children())
-
-
-def test_family_tree_cap():
-    with pytest.raises(ValueError, match="cap exceeded"):
-        build_family_tree(40)
-    with pytest.raises(ValueError, match="cap exceeded"):
-        build_family_tree(5, cap=4)
-    assert isinstance(build_family_tree(4, cap=4), FamilyTree)
-
-
-def test_family_tree_level_range():
-    ft = build_family_tree(3)
-    with pytest.raises(ValueError):
-        ft.level(0)
-    with pytest.raises(ValueError):
-        ft.level(4)
+        for parent, block in _family_blocks(k + 1):
+            assert len(block) == parent.rpl + 1
+            assert set(block) == set(parent.children())
 
 
 def test_export_dot_n2():
-    text = export_dot(build_family_tree(2))
+    text = "".join(export_dot(2))
     assert '"()"' in text and '"(())"' in text
     assert text.count("->") == 1
     assert "ordering=out" in text
 
 
 def test_export_dot_n5_counts():
-    text = export_dot(build_family_tree(5))
+    text = "".join(export_dot(5))
     ids = {encode_parens(t) for n in range(1, 6) for t in enumerate_all(n)}
     assert len(ids) == 23
     for node in ids:
@@ -332,6 +315,30 @@ def test_export_dot_n5_counts():
 
 
 def test_export_dot_deterministic():
-    a = export_dot(build_family_tree(6))
-    b = export_dot(build_family_tree(6))
-    assert a == b
+    assert "".join(export_dot(6)) == "".join(export_dot(6))
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True, "4"])
+def test_export_dot_rejects_bad_n(bad):
+    # Checked at the call, before any text is drawn.
+    with pytest.raises(ValueError):
+        export_dot(bad)
+
+
+def _dot_peak(n):
+    tracemalloc.start()
+    try:
+        for _ in export_dot(n):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_dot_memory_does_not_grow_with_the_family_tree():
+    # The export streams each level from gray_code, so its peak is O(n)
+    # trees; n=11 has 23,714 trees of sizes 1..11 to n=8's 626.  The untraced
+    # run fills CPython's free lists first (see the prefix test above).
+    for _ in export_dot(11):
+        pass
+    assert _dot_peak(11) <= 2 * _dot_peak(8)

@@ -133,6 +133,12 @@ def test_verify_rejects_unknown_check():
         verify(4, checks=["gray", "bogus"])
 
 
+@pytest.mark.parametrize("checks", [[], "", ()], ids=repr)
+def test_verify_rejects_an_empty_check_list(checks):
+    with pytest.raises(ValueError, match="empty check list"):
+        verify(5, checks=checks)
+
+
 def test_verify_cap():
     with pytest.raises(ValueError, match="cap exceeded"):
         verify(15)
@@ -193,6 +199,16 @@ def test_verify_records_a_record_that_is_not_a_tree(monkeypatch, checks, record)
         f"record 5 is not a tree with 6 vertices: {record}"
     )
     assert report.duplicates == [] and report.missing == []
+
+
+def test_verify_records_a_value_error_from_the_generator(broken_child_index):
+    report = verify(8)
+    assert not report.passed
+    assert report.total == 23
+    assert report.generation_error == (
+        "ValueError: child index 3 outside 1..2 for 1,2,2,2,3,2"
+    )
+    assert "FAIL n=8 total=23 expected=429" in report.render()
 
 
 def test_passing_verify_does_not_enumerate(monkeypatch):
