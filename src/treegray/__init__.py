@@ -37,7 +37,6 @@ from .generator import (
 )
 from .oracle import (
     ALL_CHECKS,
-    ENUMERATION_CAP,
     VerificationReport,
     catalan,
     enumerate_all,
@@ -52,7 +51,6 @@ __all__ = [
     "Case",
     "CaseExhaustionError",
     "Delta",
-    "ENUMERATION_CAP",
     "FORBIDDEN_CASES",
     "ForbiddenCaseError",
     "InvalidLevelSequence",

@@ -20,11 +20,15 @@ import time
 from typing import Callable, Iterator, Optional
 
 from .generator import StreamStats, export_dot, gray_code
-from .oracle import ALL_CHECKS, ENUMERATION_CAP, catalan, verify
+from .oracle import ALL_CHECKS, catalan, verify
 # bench/tracer.py wraps cli.delta by name, so it stays bound.
 from .relations import delta  # noqa: F401
 from .tree import encode_parens, level_lines
 
+# verify keeps one byte per tree, Catalan(n-1) of them (742,900 at n=14), so
+# its cap bounds run time, not memory: each vertex multiplies the trees by
+# about 3.6 at n=14 and n=15.
+VERIFY_CAP = 14
 # dot streams its output, so its cap bounds output size, not memory: n=12
 # writes 82,500 nodes and 6.9 MB.
 DOT_CAP = 12
@@ -56,14 +60,17 @@ def _open_output(path: Optional[str]):
         raise ValueError(f"cannot open {path}: {exc.strerror}") from None
 
 
-def _warn_cap_override(n: int, default_cap: int, cost: str) -> int:
-    if n > default_cap:
-        print(
-            f"warning: n={n} is above the default cap of {default_cap}; "
-            f"{cost} grows like the Catalan numbers",
-            file=sys.stderr,
-        )
-    return max(n, default_cap)
+def _check_cap(args: argparse.Namespace, cap: int, cost: str) -> None:
+    # Before any work or output; --override-cap turns the refusal into a warning.
+    if args.n <= cap:
+        return
+    if not args.override_cap:
+        raise ValueError(f"cap exceeded: n={args.n} is above the cap of {cap}")
+    print(
+        f"warning: n={args.n} is above the default cap of {cap}; "
+        f"{cost} grows like the Catalan numbers",
+        file=sys.stderr,
+    )
 
 
 def _fail(exc: Exception) -> int:
@@ -94,13 +101,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_cap(args, VERIFY_CAP, "run time")
     checks = None
     if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    cap = ENUMERATION_CAP
-    if args.override_cap:
-        cap = _warn_cap_override(args.n, ENUMERATION_CAP, "run time")
-    report = verify(args.n, checks=checks, cap=cap)
+    report = verify(args.n, checks=checks)
     sys.stdout.write(report.render())
     return 0 if report.passed else 1
 
@@ -111,11 +116,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    cap = DOT_CAP
-    if args.override_cap:
-        cap = _warn_cap_override(args.n, DOT_CAP, "output size")
-    if args.n > cap:
-        raise ValueError(f"cap exceeded: n={args.n} is above the cap of {cap}")
+    _check_cap(args, DOT_CAP, "output size")
     with _open_output(args.output) as out:
         try:
             out.writelines(export_dot(args.n))
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--override-cap",
         action="store_true",
-        help=f"allow n above the default cap of {ENUMERATION_CAP}",
+        help=f"allow n above the default cap of {VERIFY_CAP}",
     )
     ver.set_defaults(func=_cmd_verify)
 

@@ -55,21 +55,12 @@ class StreamStats:
     boundary trees are built at level n, so only they count there.
     emitted counts records produced per level: trees, and at level n under
     moves=True every record, moves included.  case_counts tallies every step
-    label, including forbidden ones, before any error is raised.  max_held
-    records, per level, the most trees the stack retained between yields:
-    each level record keeps at most its current and lookahead trees (its last
-    child is the lookahead of the level above), and the consumer keeps the
-    tree most recently handed to it.
+    label, including forbidden ones, before any error is raised.
     """
 
     vertex_writes: int = 0
     emitted: Counter = field(default_factory=Counter)
     case_counts: Counter = field(default_factory=Counter)
-    max_held: dict[int, int] = field(default_factory=dict)
-
-    def note_held(self, level: int, count: int) -> None:
-        if count > self.max_held.get(level, 0):
-            self.max_held[level] = count
 
     @property
     def total_emitted(self) -> int:
@@ -148,7 +139,6 @@ def _advance(
         else:
             case, order, lv.lm = plan_step(cur, t, lv.lm)
         if stats is not None:
-            stats.note_held(j - 1, 1 if t is None else 2)
             stats.case_counts[case] += 1
         if case in FORBIDDEN_CASES:
             raise ForbiddenCaseError(
@@ -233,9 +223,6 @@ def gray_code(
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if stats is not None:
-        # The consumer retains the tree most recently yielded to it.
-        stats.note_held(n, 1)
     return _records(n, checked, moves, stats)
 
 

@@ -29,11 +29,6 @@ from .ordering import FORBIDDEN_CASES, check_co1, format_case_histogram
 from .relations import is_adjacent
 from .tree import OrderedTree
 
-# verify() keeps one byte per tree, Catalan(n-1) of them (742,900 at n=14),
-# so the cap bounds run time, not memory: each vertex multiplies the trees by
-# about 3.6 at n=14 and n=15.
-ENUMERATION_CAP = 14
-
 ALL_CHECKS = ("gray", "unique", "complete", "co1", "co2", "cases")
 
 
@@ -258,25 +253,25 @@ def _co1_sweep(report: VerificationReport, n: int) -> None:
 
 
 def verify(
-    n: int,
-    checks: Optional[Iterable[str]] = None,
-    cap: int = ENUMERATION_CAP,
+    n: int, checks: Optional[Iterable[str]] = None
 ) -> VerificationReport:
     """Run the generator under full instrumentation and report all deviations.
 
-    checks selects a non-empty subset of {gray, unique, complete, co1, co2,
-    cases}; the default runs everything.  Failures are recorded, never
-    raised.  The arguments are checked before the run, so a ValueError in it
-    is a generator fault too (a broken step rule can hand OrderedTree.child
-    an index out of range).
+    checks selects a non-empty collection of names from {gray, unique,
+    complete, co1, co2, cases}; the default runs everything.  Failures are
+    recorded, never raised.  The arguments are checked before the run, so a
+    ValueError in it is a generator fault too (a broken step rule can hand
+    OrderedTree.child an index out of range).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > cap:
-        raise ValueError(f"cap exceeded: n={n} is above the cap of {cap}")
     selected = tuple(ALL_CHECKS) if checks is None else tuple(checks)
     if not selected:
         raise ValueError("empty check list")
+    if isinstance(checks, str):
+        raise ValueError(
+            f"checks must be a collection of names, not the string {checks!r}"
+        )
     unknown = set(selected) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(

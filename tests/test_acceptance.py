@@ -7,14 +7,22 @@ induction in docs/label-reachability.md proves it, and
 tests/test_reachability.py checks its lemmas.  The criterion requires every
 other non-forbidden label to occur at n=10 and fails if any of the six
 occurs at any n up to 12, so a wrong argument turns it red.
+
+Criterion 9 measures the streaming promise: between yields of the n=14 run
+it counts the OrderedTree objects alive per size with gc.get_objects(),
+leaving out those alive before the run, so a stack that kept its trees
+would fail it.
 """
+import gc
 import time
+from collections import Counter
 
 import pytest
 
 from treegray import (
     Case,
     FORBIDDEN_CASES,
+    OrderedTree,
     StreamStats,
     apply_delta,
     catalan,
@@ -39,10 +47,29 @@ def reports():
     return {n: verify(n) for n in range(1, 13)}
 
 
+# Records between two counts of the live trees in the n=14 run.
+HELD_STRIDE = 9973
+
+
+def _live_trees(skip):
+    # OrderedTree objects alive now, per size, other than those keyed in skip.
+    held = Counter()
+    for obj in gc.get_objects():
+        if type(obj) is OrderedTree and id(obj) not in skip:
+            held[obj.size] += 1
+    return held
+
+
 @pytest.fixture(scope="session")
 def run14():
     # One checked n=14 run with instrumentation plus the brute-force
-    # adjacency re-check of every consecutive pair.
+    # adjacency re-check of every consecutive pair, and the peak number of
+    # live trees per size it reached, from counts taken every HELD_STRIDE
+    # records.  The trees alive before the run (other tests' module-level
+    # trees) are kept referenced in `before`, so no id of theirs is reused.
+    before = {id(o): o for o in gc.get_objects() if type(o) is OrderedTree}
+    held = Counter()
+    counting = 0.0
     stats = StreamStats()
     start = time.perf_counter()
     prev = None
@@ -53,9 +80,15 @@ def run14():
             failures += 1
         prev = t
         total += 1
-    elapsed = time.perf_counter() - start
+        if total % HELD_STRIDE == 1:
+            tick = time.perf_counter()
+            for size, count in _live_trees(before).items():
+                held[size] = max(held[size], count)
+            counting += time.perf_counter() - tick
+    elapsed = time.perf_counter() - start - counting
     return {
         "stats": stats,
+        "held": held,
         "elapsed": elapsed,
         "total": total,
         "adjacency_failures": failures,
@@ -244,21 +277,20 @@ def test_criterion_08_delta_replay():
 
 
 def test_criterion_09_streaming_contract(run14, stats7):
-    stats = run14["stats"]
-    per_level_ok = all(held <= 3 for held in stats.max_held.values())
-    total_held = sum(stats.max_held.values())
+    stats, held = run14["stats"], run14["held"]
+    peak = max(held.values())
+    total_held = sum(held.values())
     per_tree_14 = stats.vertex_writes / run14["total"]
     per_tree_7 = stats7.vertex_writes / stats7.emitted[7]
     budget = 4 * (14 / 7) ** 2 * per_tree_7
-    ok = per_level_ok and total_held <= 3 * 14 and per_tree_14 <= budget
+    ok = peak <= 3 and total_held <= 3 * 14 and per_tree_14 <= budget
     _line(
         9,
         ok,
-        f"held<=3 per level (peak {max(stats.max_held.values())}, "
-        f"sum {total_held}<={3 * 14}); writes/tree {per_tree_14:.1f} "
-        f"within budget {budget:.1f}",
+        f"live trees <=3 per size (peak {peak}, sum {total_held}<={3 * 14}); "
+        f"writes/tree {per_tree_14:.1f} within budget {budget:.1f}",
     )
-    assert ok
+    assert ok, dict(held)
 
 
 def test_criterion_10_regression_snapshot():

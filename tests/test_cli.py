@@ -215,6 +215,15 @@ def test_verify_above_cap(capsys):
     assert "cap exceeded" in err
 
 
+def test_verify_cap_is_checked_before_the_oracle_runs(monkeypatch, capsys):
+    # The cap is CLI policy: the library's verify has none.
+    calls = []
+    monkeypatch.setattr(treegray.cli, "verify", lambda *a, **kw: calls.append(a))
+    code, out, err = run(capsys, "verify", "--n", "15")
+    assert code == 2 and out == "" and calls == []
+    assert err == "error: cap exceeded: n=15 is above the cap of 14\n"
+
+
 def test_override_cap_accepted_for_small_n(capsys):
     code, out, _ = run(capsys, "verify", "--n", "4", "--override-cap")
     assert code == 0 and out.startswith("PASS")
@@ -233,7 +242,7 @@ def test_override_cap_warns_above_the_default_cap(monkeypatch, capsys):
 
 def test_override_cap_warns_of_run_time_for_verify(monkeypatch, capsys):
     # verify keeps one byte per tree, so its cap bounds run time, not memory.
-    monkeypatch.setattr(treegray.cli, "ENUMERATION_CAP", 3)
+    monkeypatch.setattr(treegray.cli, "VERIFY_CAP", 3)
     code, out, err = run(capsys, "verify", "--n", "4", "--override-cap")
     assert code == 0 and out.startswith("PASS")
     assert err == (

@@ -179,9 +179,6 @@ def test_stats_counters():
     for k in range(1, 9):
         assert stats.emitted[k] == catalan(k - 1)
     assert stats.total_emitted == sum(catalan(k - 1) for k in range(1, 9))
-    # Between yields each level generator retains at most its current and
-    # lookahead trees.
-    assert all(held <= 2 for held in stats.max_held.values())
     assert sum(stats.case_counts.values()) > 0
 
 
@@ -204,6 +201,28 @@ def test_stats_vertex_writes_unchecked_is_one_tree_each():
         trees = sum(k * catalan(k - 1) for k in range(1, n + 1))
         proofs = sum(k * (catalan(k - 2) - 1) for k in range(2, n + 1))
         assert checked.vertex_writes == trees + proofs == want, n
+
+
+@pytest.mark.parametrize("moves", [False, True], ids=["trees", "moves"])
+@pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
+def test_stats_vertex_writes_match_the_trees_built(monkeypatch, checked, moves):
+    # Every tree past the root is built by OrderedTree.child, so the writes
+    # counted by hand are the sizes of the trees it returns, plus the root.
+    built = [0]
+    real = OrderedTree.child
+
+    def child(self, i):
+        t = real(self, i)
+        built[0] += t.size
+        return t
+
+    monkeypatch.setattr(OrderedTree, "child", child)
+    for n in range(1, 11):
+        built[0] = 0
+        stats = StreamStats()
+        for _ in gray_code(n, checked=checked, stats=stats, moves=moves):
+            pass
+        assert stats.vertex_writes == built[0] + 1, n
 
 
 def test_stats_under_moves_count_records_and_boundary_trees():

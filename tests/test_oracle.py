@@ -139,9 +139,17 @@ def test_verify_rejects_an_empty_check_list(checks):
         verify(5, checks=checks)
 
 
-def test_verify_cap():
-    with pytest.raises(ValueError, match="cap exceeded"):
-        verify(15)
+@pytest.mark.parametrize("checks", ["gray", "gray,unique"])
+def test_verify_rejects_a_string_of_checks(checks):
+    # A string would otherwise be read as a collection of one-letter names.
+    with pytest.raises(ValueError, match="collection of names"):
+        verify(5, checks=checks)
+
+
+@pytest.mark.parametrize("bad", [0, True])
+def test_verify_rejects_bad_n(bad):
+    with pytest.raises(ValueError, match="positive integer"):
+        verify(bad)
 
 
 def test_all_checks_frozen():
@@ -209,6 +217,24 @@ def test_verify_records_a_value_error_from_the_generator(broken_child_index):
         "ValueError: child index 3 outside 1..2 for 1,2,2,2,3,2"
     )
     assert "FAIL n=8 total=23 expected=429" in report.render()
+
+
+@pytest.mark.parametrize("checks", [None, ["co1"]], ids=str)
+def test_verify_records_an_error_in_the_co1_sweep(monkeypatch, checks):
+    # The main run at n=6 is sound; the sweep over the smaller levels fails.
+    real = treegray.oracle.gray_code
+
+    def failing(k, **kwargs):
+        if k < 6:
+            raise RuntimeError(f"level {k} failed")
+        return real(k, **kwargs)
+
+    monkeypatch.setattr(treegray.oracle, "gray_code", failing)
+    report = verify(6, checks)
+    assert not report.passed
+    assert report.total == 42
+    assert report.generation_error == "RuntimeError: level 1 failed"
+    assert report.invariant_failures == []
 
 
 def test_passing_verify_does_not_enumerate(monkeypatch):

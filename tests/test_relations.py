@@ -4,6 +4,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, strategies as st
 
+import treegray.relations
 from treegray import (
     Delta,
     NotAdjacentError,
@@ -235,6 +236,16 @@ def test_adjacent_single_examples():
     assert is_adjacent(T(1, 2, 2), T(1, 2, 3))
     assert is_adjacent(T(1, 2, 2, 2), T(1, 2, 2, 3))
     assert not is_adjacent(T(1, 2), T(1, 2))
+
+
+def test_adjacent_is_false_when_the_move_does_not_replay(monkeypatch):
+    # Only the replay of the searched move certifies a pair that are not
+    # siblings: a move apply_delta rejects (here it removes the root) gives
+    # False, even for a pair that are adjacent.
+    t, u = T(1, 2, 2, 2), T(1, 2, 3, 2)
+    assert is_adjacent(t, u)
+    monkeypatch.setattr(treegray.relations, "_move", lambda t, u: Delta(1, 1, 2))
+    assert is_adjacent(t, u) is False
 
 
 # -- deltas -------------------------------------------------------------
