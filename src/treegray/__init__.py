@@ -36,7 +36,6 @@ from .generator import (
     gray_code,
 )
 from .oracle import (
-    ALL_CHECKS,
     VerificationReport,
     catalan,
     enumerate_all,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjacencyViolationError",
-    "ALL_CHECKS",
     "Case",
     "CaseExhaustionError",
     "Delta",

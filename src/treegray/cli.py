@@ -2,7 +2,7 @@
 
 Subcommands: gen (stream the Gray code), verify (oracle report), count
 (Catalan count), dot (family-tree export), bench (timing and write counts).
-Exit codes: 0 success, 1 verification or generation failure, 2 usage error.
+Exit codes: 0 success, 1 verification, generation or write failure, 2 usage error.
 Arguments are checked before any output is written, so a ValueError raised
 while gen or dot is writing is a generation failure, not a usage error.
 
@@ -20,7 +20,7 @@ import time
 from typing import Callable, Iterator, Optional
 
 from .generator import StreamStats, export_dot, gray_code
-from .oracle import ALL_CHECKS, catalan, verify
+from .oracle import catalan, verify
 # bench/tracer.py wraps cli.delta by name, so it stays bound.
 from .relations import delta  # noqa: F401
 from .tree import encode_parens, level_lines
@@ -102,16 +102,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_cap(args, VERIFY_CAP, "run time")
-    checks = None
-    if args.checks is not None:
-        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    report = verify(args.n, checks=checks)
+    report = verify(args.n)
     sys.stdout.write(report.render())
+    sys.stdout.flush()
     return 0 if report.passed else 1
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    print(catalan(args.n - 1))
+    print(catalan(args.n - 1), flush=True)
     return 0
 
 
@@ -120,6 +118,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     with _open_output(args.output) as out:
         try:
             out.writelines(export_dot(args.n))
+            out.flush()
         except ValueError as exc:
             return _fail(exc)
     return 0
@@ -138,7 +137,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"n={args.n} trees={count} seconds={elapsed:.3f} "
         f"trees_per_second={rate:.0f} vertex_writes={stats.vertex_writes} "
         f"writes_per_tree={per_tree:.2f} "
-        f"checked={'no' if args.unchecked else 'yes'}"
+        f"checked={'no' if args.unchecked else 'yes'}",
+        flush=True,
     )
     return 0
 
@@ -177,11 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the brute-force oracle and report")
     ver.add_argument("--n", type=_positive_int, required=True, help="tree size")
-    ver.add_argument(
-        "--checks",
-        default=None,
-        help=f"comma-separated subset of {{{','.join(ALL_CHECKS)}}} (default all)",
-    )
     ver.add_argument(
         "--override-cap",
         action="store_true",
@@ -225,10 +220,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except RuntimeError as exc:
         return _fail(exc)
-    except BrokenPipeError:
-        # Downstream closed the pipe (e.g. head); suppress the shutdown noise.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    except OSError as exc:
+        # A reader that closed the pipe early (e.g. head) is not an error.
+        closed = isinstance(exc, BrokenPipeError)
+        if not closed:
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        # The failed bytes stay in stdout's buffer, and the interpreter's final
+        # flush would fail on them again (exit 120): point the real stdout, if
+        # it still cannot flush, at os.devnull, but leave a caller's stand-in.
+        if sys.stdout is sys.__stdout__:
+            try:
+                sys.stdout.flush()
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0 if closed else 1
 
 
 if __name__ == "__main__":

@@ -29,9 +29,6 @@ from .ordering import FORBIDDEN_CASES, check_co1, format_case_histogram
 from .relations import is_adjacent
 from .tree import OrderedTree
 
-ALL_CHECKS = ("gray", "unique", "complete", "co1", "co2", "cases")
-
-
 def catalan(m: int) -> int:
     """The m-th Catalan number, binom(2m, m) / (m + 1), exactly."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
@@ -117,16 +114,21 @@ class VerificationReport:
     """
 
     n: int
-    checks: tuple[str, ...]
     total: int = 0
-    expected: int = 0
     duplicates: list[OrderedTree] = field(default_factory=list)
     missing: list[OrderedTree] = field(default_factory=list)
     adjacency_failures: list[tuple[int, int]] = field(default_factory=list)
     invariant_failures: list[tuple[int, int, str]] = field(default_factory=list)
     case_histogram: Counter = field(default_factory=Counter)
-    forbidden_case_hits: int = 0
     generation_error: Optional[str] = None
+
+    @property
+    def expected(self) -> int:
+        return catalan(self.n - 1)
+
+    @property
+    def forbidden_case_hits(self) -> int:
+        return sum(self.case_histogram[case] for case in FORBIDDEN_CASES)
 
     @property
     def passed(self) -> bool:
@@ -162,12 +164,11 @@ class VerificationReport:
             lines.append(f"not adjacent: positions {i},{j}")
         for level, idx, which in self.invariant_failures[:10]:
             lines.append(f"{which} violated: level {level}, window {idx}")
-        if "cases" in self.checks:
-            lines.append("case histogram:")
-            lines.extend(
-                "  " + line
-                for line in format_case_histogram(self.case_histogram).splitlines()
-            )
+        lines.append("case histogram:")
+        lines.extend(
+            "  " + line
+            for line in format_case_histogram(self.case_histogram).splitlines()
+        )
         return "\n".join(lines) + "\n"
 
 
@@ -189,12 +190,11 @@ def _ranked(
     trees: Iterable[OrderedTree],
     table: list[dict[int, int]],
     seen: bytearray,
-    duplicates: list[OrderedTree],
 ) -> Iterator[OrderedTree]:
     """Pass trees through, setting the byte of each one's rank in seen and
-    appending a tree whose byte is already set to duplicates.  A record with
-    no rank ends the stream as the report's generation error, before any
-    check that assumes a tree of size n sees it."""
+    appending a tree whose byte is already set to the report's duplicates.
+    A record with no rank ends the stream as the report's generation error,
+    before any check that assumes a tree of size n sees it."""
     for pos, t in enumerate(trees):
         rank = _rank(t.levels, table)
         if rank is None:
@@ -203,41 +203,9 @@ def _ranked(
             )
             return
         if seen[rank]:
-            duplicates.append(t)
+            report.duplicates.append(t)
         seen[rank] = 1
         yield t
-
-
-def _checked_run(
-    report: VerificationReport,
-    n: int,
-    selected: tuple[str, ...],
-    stats: Optional[StreamStats],
-) -> None:
-    want_gray = "gray" in selected
-    seen = bytearray(report.expected)
-    # Only the checks that look for duplicates report them.
-    duplicates = (
-        report.duplicates if "unique" in selected or "complete" in selected else []
-    )
-    prev: Optional[OrderedTree] = None
-    pos = 0
-    trees = _ranked(
-        report, gray_code(n, checked=True, stats=stats), _rank_table(n), seen, duplicates
-    )
-    if "co2" in selected:
-        trees = _windowed(report, n, "co2", trees)
-    try:
-        for t in trees:
-            if want_gray and prev is not None and not is_adjacent(prev, t):
-                report.adjacency_failures.append((pos - 1, pos))
-            prev = t
-            pos += 1
-    except (RuntimeError, ValueError) as exc:
-        report.generation_error = f"{type(exc).__name__}: {exc}"
-    report.total = pos
-    if "complete" in selected and report.generation_error is None and 0 in seen:
-        report.missing.extend(t for t, hit in zip(enumerate_all(n), seen) if not hit)
 
 
 def _co1_sweep(report: VerificationReport, n: int) -> None:
@@ -252,42 +220,37 @@ def _co1_sweep(report: VerificationReport, n: int) -> None:
             return
 
 
-def verify(
-    n: int, checks: Optional[Iterable[str]] = None
-) -> VerificationReport:
+def verify(n: int) -> VerificationReport:
     """Run the generator under full instrumentation and report all deviations.
 
-    checks selects a non-empty collection of names from {gray, unique,
-    complete, co1, co2, cases}; the default runs everything.  Failures are
-    recorded, never raised.  The arguments are checked before the run, so a
+    Every run checks each consecutive pair for adjacency (gray), the trees
+    for repeats (unique) and omissions (complete), the window invariant over
+    level n (co2) and the levels below it (co1), and the case labels.
+    Failures are recorded, never raised.  n is checked before the run, so a
     ValueError in it is a generator fault too (a broken step rule can hand
     OrderedTree.child an index out of range).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    selected = tuple(ALL_CHECKS) if checks is None else tuple(checks)
-    if not selected:
-        raise ValueError("empty check list")
-    if isinstance(checks, str):
-        raise ValueError(
-            f"checks must be a collection of names, not the string {checks!r}"
-        )
-    unknown = set(selected) - set(ALL_CHECKS)
-    if unknown:
-        raise ValueError(
-            f"unknown checks: {', '.join(sorted(unknown))} "
-            f"(valid: {', '.join(ALL_CHECKS)})"
-        )
-    report = VerificationReport(n=n, checks=selected, expected=catalan(n - 1))
-    stats = StreamStats() if "cases" in selected else None
-    _checked_run(report, n, selected, stats)
-    if "co1" in selected and report.generation_error is None:
+    report = VerificationReport(n=n)
+    seen = bytearray(report.expected)
+    stats = StreamStats()
+    prev: Optional[OrderedTree] = None
+    trees = _ranked(
+        report, gray_code(n, checked=True, stats=stats), _rank_table(n), seen
+    )
+    try:
+        for pos, t in enumerate(_windowed(report, n, "co2", trees)):
+            if prev is not None and not is_adjacent(prev, t):
+                report.adjacency_failures.append((pos - 1, pos))
+            prev = t
+            report.total = pos + 1
+    except (RuntimeError, ValueError) as exc:
+        report.generation_error = f"{type(exc).__name__}: {exc}"
+    report.case_histogram = Counter(stats.case_counts)
+    if report.generation_error is None:
+        if 0 in seen:
+            walk = zip(enumerate_all(n), seen)
+            report.missing.extend(t for t, hit in walk if not hit)
         _co1_sweep(report, n)
-    if stats is not None:
-        report.case_histogram = Counter(stats.case_counts)
-        report.forbidden_case_hits = sum(
-            count
-            for case, count in stats.case_counts.items()
-            if case in FORBIDDEN_CASES
-        )
     return report

@@ -282,7 +282,9 @@ def test_criterion_09_streaming_contract(run14, stats7):
     total_held = sum(held.values())
     per_tree_14 = stats.vertex_writes / run14["total"]
     per_tree_7 = stats7.vertex_writes / stats7.emitted[7]
-    budget = 4 * (14 / 7) ** 2 * per_tree_7
+    # Writes per tree grow linearly in n: 12.6 at n=7 and 24.2 at n=14, so
+    # 1.80 and 1.73 per vertex.  A quarter of margin keeps the bound at 31.5.
+    budget = 1.25 * (14 / 7) * per_tree_7
     ok = peak <= 3 and total_held <= 3 * 14 and per_tree_14 <= budget
     _line(
         9,

@@ -1,12 +1,13 @@
 """The brute-force side: enumeration, Catalan counts, verification reports."""
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 import treegray.oracle
 import treegray.relations
 from treegray import (
-    ALL_CHECKS,
+    Case,
     Delta,
     OrderedTree,
     VerificationReport,
@@ -105,9 +106,12 @@ def test_verify_passes_small():
 
 
 def test_verify_summary_line():
-    line = verify(3).summary_line()
+    report = verify(3)
+    line = report.summary_line()
     assert line.startswith("PASS n=3 total=2 expected=2")
     assert "forbidden_case_hits=0" in line
+    assert "case histogram:" in report.render()
+    assert sum(report.case_histogram.values()) > 0
 
 
 def test_verify_single_tree_level():
@@ -117,48 +121,16 @@ def test_verify_single_tree_level():
     assert report.adjacency_failures == []
 
 
-def test_verify_check_subsets():
-    report = verify(6, checks=["gray", "unique"])
-    assert report.passed
-    assert report.checks == ("gray", "unique")
-    assert report.case_histogram == {}
-    assert "case histogram" not in report.render()
-    full = verify(6)
-    assert "case histogram:" in full.render()
-    assert sum(full.case_histogram.values()) > 0
-
-
-def test_verify_rejects_unknown_check():
-    with pytest.raises(ValueError, match="unknown checks"):
-        verify(4, checks=["gray", "bogus"])
-
-
-@pytest.mark.parametrize("checks", [[], "", ()], ids=repr)
-def test_verify_rejects_an_empty_check_list(checks):
-    with pytest.raises(ValueError, match="empty check list"):
-        verify(5, checks=checks)
-
-
-@pytest.mark.parametrize("checks", ["gray", "gray,unique"])
-def test_verify_rejects_a_string_of_checks(checks):
-    # A string would otherwise be read as a collection of one-letter names.
-    with pytest.raises(ValueError, match="collection of names"):
-        verify(5, checks=checks)
-
-
 @pytest.mark.parametrize("bad", [0, True])
 def test_verify_rejects_bad_n(bad):
     with pytest.raises(ValueError, match="positive integer"):
         verify(bad)
 
 
-def test_all_checks_frozen():
-    assert ALL_CHECKS == ("gray", "unique", "complete", "co1", "co2", "cases")
-
-
 def test_report_fail_states():
-    base = dict(n=3, checks=ALL_CHECKS, total=2, expected=2)
+    base = dict(n=3, total=2)
     assert VerificationReport(**base).passed
+    assert VerificationReport(**base).expected == 2
     assert not VerificationReport(**{**base, "total": 1}).passed
     assert not VerificationReport(
         **base, duplicates=[OrderedTree([1, 2, 2])]
@@ -167,7 +139,8 @@ def test_report_fail_states():
     assert not VerificationReport(
         **base, invariant_failures=[(3, 0, "co1")]
     ).passed
-    assert not VerificationReport(**base, forbidden_case_hits=1).passed
+    forbidden = VerificationReport(**base, case_histogram=Counter({Case.C3A1: 1}))
+    assert forbidden.forbidden_case_hits == 1 and not forbidden.passed
     assert not VerificationReport(**base, generation_error="boom").passed
     bad = VerificationReport(**{**base, "total": 1})
     assert bad.summary_line().startswith("FAIL")
@@ -176,7 +149,7 @@ def test_report_fail_states():
     ).render()
 
 
-def _verify_broken_n6(monkeypatch, mutate, checks=None):
+def _verify_broken_n6(monkeypatch, mutate):
     # Feed verify a gray_code(6) damaged by mutate; smaller levels stay intact.
     def broken(k, **kwargs):
         trees = list(gray_code(k, **kwargs))
@@ -185,22 +158,19 @@ def _verify_broken_n6(monkeypatch, mutate, checks=None):
         return iter(trees)
 
     monkeypatch.setattr(treegray.oracle, "gray_code", broken)
-    return verify(6, checks)
+    return verify(6)
 
 
-@pytest.mark.parametrize(
-    "checks", [None, ["gray"], ["co2"], ["unique", "complete"]], ids=str
-)
 @pytest.mark.parametrize(
     "record",
     [OrderedTree([1, 2, 3, 2, 2]), OrderedTree._trusted((1, 2, 4, 2, 2, 2))],
     ids=["size-5", "jump-2"],
 )
-def test_verify_records_a_record_that_is_not_a_tree(monkeypatch, checks, record):
+def test_verify_records_a_record_that_is_not_a_tree(monkeypatch, record):
     def replace(trees):
         trees[5] = record
 
-    report = _verify_broken_n6(monkeypatch, replace, checks)
+    report = _verify_broken_n6(monkeypatch, replace)
     assert not report.passed
     assert report.total == 5
     assert report.generation_error == (
@@ -219,8 +189,7 @@ def test_verify_records_a_value_error_from_the_generator(broken_child_index):
     assert "FAIL n=8 total=23 expected=429" in report.render()
 
 
-@pytest.mark.parametrize("checks", [None, ["co1"]], ids=str)
-def test_verify_records_an_error_in_the_co1_sweep(monkeypatch, checks):
+def test_verify_records_an_error_in_the_co1_sweep(monkeypatch):
     # The main run at n=6 is sound; the sweep over the smaller levels fails.
     real = treegray.oracle.gray_code
 
@@ -230,7 +199,7 @@ def test_verify_records_an_error_in_the_co1_sweep(monkeypatch, checks):
         return real(k, **kwargs)
 
     monkeypatch.setattr(treegray.oracle, "gray_code", failing)
-    report = verify(6, checks)
+    report = verify(6)
     assert not report.passed
     assert report.total == 42
     assert report.generation_error == "RuntimeError: level 1 failed"

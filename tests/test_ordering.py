@@ -153,7 +153,7 @@ def test_check_co1_requires_same_size():
 def test_check_co2_window():
     # CO2 is check_co1 over every 3-window of the level being produced.
     def co2_failures(trees):
-        report = VerificationReport(n=4, checks=("co2",))
+        report = VerificationReport(n=4)
         assert list(_windowed(report, 4, "co2", trees)) == trees
         return report.invariant_failures
 

@@ -1,6 +1,10 @@
-"""The README's library example runs and prints what the README shows."""
+"""The README's library example prints what the README shows, and its
+command lines run."""
 import re
+import shlex
 from pathlib import Path
+
+from treegray.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +29,20 @@ def test_readme_library_example(capsys):
     assert shown_summary.startswith(prefix)
     assert summary.startswith(prefix)
     assert capsys.readouterr().out == summary + "\n"
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # Every `treegray` line of the README's shell blocks, as written.
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [
+        line
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("treegray ")
+    ]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert main(argv) == 0, line
+        capsys.readouterr()
