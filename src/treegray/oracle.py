@@ -13,8 +13,9 @@ per lexicographic rank (ballot-number ranking, Zaks 1980) marks the trees
 seen, so unique and complete are "no byte set twice" and "no byte left at
 zero", and only a byte left at zero makes the lexicographic successor walk
 run, to name the missing trees.  verify() runs the generator with its
-defensive checks on and reports every deviation instead of raising, so a
-broken build still produces a readable report.
+defensive checks on, checks each record in one loop (rank, co2 window,
+adjacency) and reports every deviation instead of raising, so a broken
+build still produces a readable report.
 """
 from __future__ import annotations
 
@@ -185,29 +186,6 @@ def _windowed(
         yield c
 
 
-def _ranked(
-    report: VerificationReport,
-    trees: Iterable[OrderedTree],
-    table: list[dict[int, int]],
-    seen: bytearray,
-) -> Iterator[OrderedTree]:
-    """Pass trees through, setting the byte of each one's rank in seen and
-    appending a tree whose byte is already set to the report's duplicates.
-    A record with no rank ends the stream as the report's generation error,
-    before any check that assumes a tree of size n sees it."""
-    for pos, t in enumerate(trees):
-        rank = _rank(t.levels, table)
-        if rank is None:
-            report.generation_error = (
-                f"record {pos} is not a tree with {len(table)} vertices: {t}"
-            )
-            return
-        if seen[rank]:
-            report.duplicates.append(t)
-        seen[rank] = 1
-        yield t
-
-
 def _co1_sweep(report: VerificationReport, n: int) -> None:
     # The invariant over the levels that drive the steps; the produced level
     # is covered by the co2 pass over the main run.
@@ -225,28 +203,46 @@ def verify(n: int) -> VerificationReport:
 
     Every run checks each consecutive pair for adjacency (gray), the trees
     for repeats (unique) and omissions (complete), the window invariant over
-    level n (co2) and the levels below it (co1), and the case labels.
-    Failures are recorded, never raised.  n is checked before the run, so a
-    ValueError in it is a generator fault too (a broken step rule can hand
-    OrderedTree.child an index out of range).
+    level n (co2) and the levels below it (co1), and the case labels.  One
+    loop over the checked run ranks and marks each record, then checks the
+    co2 window it closes and its adjacency to the record before it.  A
+    record with no rank ends the run as the report's generation error, before
+    any check that assumes a tree of size n sees it.  Failures are recorded,
+    never raised.  n is checked before the run, so a ValueError in it is a
+    generator fault too (a broken step rule can hand OrderedTree.child an
+    index out of range).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     report = VerificationReport(n=n)
+    table = _rank_table(n)
     seen = bytearray(report.expected)
     stats = StreamStats()
-    prev: Optional[OrderedTree] = None
-    trees = _ranked(
-        report, gray_code(n, checked=True, stats=stats), _rank_table(n), seen
-    )
+    # a, b: the two records before c, so (a, b, c) is the co2 window and
+    # (b, c) the pair checked for adjacency.  total counts the records whose
+    # checks all ran.
+    a = b = None
+    total = 0
     try:
-        for pos, t in enumerate(_windowed(report, n, "co2", trees)):
-            if prev is not None and not is_adjacent(prev, t):
+        for pos, c in enumerate(gray_code(n, checked=True, stats=stats)):
+            rank = _rank(c.levels, table)
+            if rank is None:
+                report.generation_error = (
+                    f"record {pos} is not a tree with {n} vertices: {c}"
+                )
+                break
+            if seen[rank]:
+                report.duplicates.append(c)
+            seen[rank] = 1
+            if pos >= 2 and not check_co1(a, b, c):
+                report.invariant_failures.append((n, pos - 2, "co2"))
+            if pos and not is_adjacent(b, c):
                 report.adjacency_failures.append((pos - 1, pos))
-            prev = t
-            report.total = pos + 1
+            a, b = b, c
+            total = pos + 1
     except (RuntimeError, ValueError) as exc:
         report.generation_error = f"{type(exc).__name__}: {exc}"
+    report.total = total
     report.case_histogram = Counter(stats.case_counts)
     if report.generation_error is None:
         if 0 in seen:

@@ -55,6 +55,10 @@ class Case(enum.Enum):
     C4B3 = "4b3"
     LAST = "LAST"
 
+    # Members are singletons, so identity is an exact hash, and a C-level
+    # one: Enum's own __hash__ is Python code run on every Counter update.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -161,17 +165,17 @@ def check_co1(a: OrderedTree, b: OrderedTree, c: OrderedTree) -> bool:
     Both clauses must hold: if the outer trees have rpl 1 and the middle one
     does not, the middle tree has a pony-tail and the third tree is copying
     it; and if the outer rpls are equal and at least 2, the middle rpl is
-    strictly smaller.
+    strictly smaller.  Each tree's levels are read once: the sizes are their
+    lengths and the rpls are compared through the last levels, each rpl + 1.
     """
-    if not a.size == b.size == c.size:
-        raise ValueError(
-            f"size mismatch: {a.size}, {b.size}, {c.size}"
-        )
-    ra, rb, rc = a.rpl, b.rpl, c.rpl
-    if ra == 1 == rc and rb > 1:
+    la, lb, lc = a.levels, b.levels, c.levels
+    if not len(la) == len(lb) == len(lc):
+        raise ValueError(f"size mismatch: {len(la)}, {len(lb)}, {len(lc)}")
+    ea, eb, ec = la[-1], lb[-1], lc[-1]
+    if ea == 2 == ec and eb > 2:
         if not (has_pony_tail(b) and is_copying(c, b)):
             return False
-    if ra == rc >= 2 and ra <= rb:
+    if ea == ec >= 3 and ea <= eb:
         return False
     return True
 

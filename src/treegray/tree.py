@@ -48,13 +48,15 @@ class OrderedTree:
                     f"entry {j + 1} is {e!r}, expected an integer in "
                     f"2..{seq[j - 1] + 1}"
                 )
-        object.__setattr__(self, "levels", seq)
+        _store_levels(self, seq)
 
     @classmethod
     def _trusted(cls, levels: tuple[int, ...]) -> "OrderedTree":
         # Fast path for sequences already known valid (parent/child/streams).
-        t = object.__new__(cls)
-        object.__setattr__(t, "levels", levels)
+        # It stores through the slot descriptor itself (_store_levels), which
+        # skips the lookup and the __setattr__ dispatch of object.__setattr__.
+        t = _new(cls)
+        _store_levels(t, levels)
         return t
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -84,11 +86,13 @@ class OrderedTree:
 
         The result has rpl == i.  Valid for i in 1..rpl + 1.
         """
-        if not 1 <= i <= self.rpl + 1:
-            raise ValueError(
-                f"child index {i} outside 1..{self.rpl + 1} for {self}"
-            )
-        return OrderedTree._trusted(self.levels + (i + 1,))
+        levels = self.levels
+        top = levels[-1]  # rpl + 1
+        if not 1 <= i <= top:
+            raise ValueError(f"child index {i} outside 1..{top} for {self}")
+        t = _new(OrderedTree)
+        _store_levels(t, levels + (i + 1,))
+        return t
 
     def children(self) -> list["OrderedTree"]:
         """All trees obtainable by appending one rightmost leaf, by index."""
@@ -107,6 +111,12 @@ class OrderedTree:
 
     def __str__(self) -> str:
         return _text(self.levels)[:-1]
+
+
+# The trusted constructor's two steps, bound once: a bare instance, then the
+# levels slot written through its descriptor, as object.__setattr__ would.
+_new = object.__new__
+_store_levels = OrderedTree.levels.__set__
 
 
 # "%d," * k for each length k rendered so far.  Keyed by the lengths in use,

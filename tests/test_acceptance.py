@@ -285,12 +285,22 @@ def test_criterion_09_streaming_contract(run14, stats7):
     # Writes per tree grow linearly in n: 12.6 at n=7 and 24.2 at n=14, so
     # 1.80 and 1.73 per vertex.  A quarter of margin keeps the bound at 31.5.
     budget = 1.25 * (14 / 7) * per_tree_7
-    ok = peak <= 3 and total_held <= 3 * 14 and per_tree_14 <= budget
+    # The budget moves with the n=7 figure, so a regression by the same
+    # factor at every size passes it (building each sibling twice reads 34.3
+    # against 43.4).  The cap pins n=14 itself: the measured 24.2 plus 10%.
+    cap = 26.6
+    ok = (
+        peak <= 3
+        and total_held <= 3 * 14
+        and per_tree_14 <= budget
+        and per_tree_14 <= cap
+    )
     _line(
         9,
         ok,
         f"live trees <=3 per size (peak {peak}, sum {total_held}<={3 * 14}); "
-        f"writes/tree {per_tree_14:.1f} within budget {budget:.1f}",
+        f"writes/tree {per_tree_14:.1f} within budget {budget:.1f} "
+        f"and cap {cap}",
     )
     assert ok, dict(held)
 

@@ -1,4 +1,5 @@
 """The brute-force side: enumeration, Catalan counts, verification reports."""
+import hashlib
 import tracemalloc
 from collections import Counter
 
@@ -147,6 +148,28 @@ def test_report_fail_states():
     assert "generation error: boom" in VerificationReport(
         **base, generation_error="boom"
     ).render()
+
+
+# SHA-256 of verify(n).render(), recorded while verify still passed each
+# record through separate rank, co2 and adjacency stages.
+RENDER_SHA256 = {
+    1: "c69c58e6f401b1ccb2ecb53a1cdcd5977bd06f2d1fbdede8134c90f096367511",
+    2: "cbd88d1dab704803ff2d23a93ff7b9a0dc81cf62c0db51de210e4e76f78aac0a",
+    3: "dcb9fbbcab022db2e0c651b193c1877d52c30881347bad0e6a57726bbf6dd8db",
+    4: "b00ce0254a78edac8adb113358e7bc2f148d9a33da8bfbf6c2794b3a0bc3f590",
+    5: "e6f062135c5321446b49e280d8a14fd842d7f120481940b9465fef771fc148a4",
+    6: "67998d8eca78ce1e71c9c478199b79dc93a9ad97e813f106c6309d4a720b23cb",
+    7: "e5e1cf7d6af510121a738ae4722b12d83ab1f56bc225b30463efc0cd4e3a4f5a",
+    8: "92c13d933041b9a20716524591db931cd0b3926d1dc7177023a3e6a5b0c7668e",
+    9: "e5b47473129b36c6eae0b885b1e2569b04660470c0b44dc06d94a40500e64116",
+    10: "8692aa2d52fefbd4093345abba73db67052287f4f6f346a56ce4da6434338ed7",
+}
+
+
+@pytest.mark.parametrize("n", sorted(RENDER_SHA256))
+def test_verify_report_is_pinned(n):
+    text = verify(n).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == RENDER_SHA256[n]
 
 
 def _verify_broken_n6(monkeypatch, mutate):

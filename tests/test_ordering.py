@@ -1,7 +1,11 @@
 """Step rules: classification, child orders, and the window invariants."""
+import copy
 import itertools
+import pickle
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 import treegray.generator
 from treegray import (
@@ -146,8 +150,67 @@ def test_check_co1_examples():
 
 
 def test_check_co1_requires_same_size():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^size mismatch: 2, 3, 3$"):
         check_co1(T(1, 2), T(1, 2, 2), T(1, 2, 3))
+
+
+def _reference_check_co1(a, b, c):
+    # check_co1 as first written, through size, rpl and both relations.
+    if not a.size == b.size == c.size:
+        raise ValueError(f"size mismatch: {a.size}, {b.size}, {c.size}")
+    ra, rb, rc = a.rpl, b.rpl, c.rpl
+    if ra == 1 == rc and rb > 1:
+        if not (has_pony_tail(b) and is_copying(c, b)):
+            return False
+    if ra == rc >= 2 and ra <= rb:
+        return False
+    return True
+
+
+def _co1_outcome(check, a, b, c):
+    # The verdict, or the text of the size-mismatch error.
+    try:
+        return check(a, b, c)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_check_co1_matches_reference_on_every_small_triple():
+    # Every same-size triple for sizes 1..6: 42**3 = 74,088 at size 6 alone.
+    checked = 0
+    for n in range(1, 7):
+        trees = list(enumerate_all(n))
+        for a, b, c in itertools.product(trees, repeat=3):
+            assert check_co1(a, b, c) is _reference_check_co1(a, b, c), (a, b, c)
+            checked += 1
+    assert checked == 1 + 1 + 8 + 125 + 2744 + 74088
+
+
+@st.composite
+def _trees_of_size(draw, n):
+    seq = [1]
+    for _ in range(n - 1):
+        seq.append(draw(st.integers(min_value=2, max_value=seq[-1] + 1)))
+    return OrderedTree(seq)
+
+
+@st.composite
+def _co1_triples(draw):
+    # Mostly one size up to 12; about a quarter of triples resize one tree.
+    n = draw(st.integers(min_value=1, max_value=12))
+    sizes = [n, n, n]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        sizes[draw(st.integers(min_value=0, max_value=2))] = draw(
+            st.integers(min_value=1, max_value=12)
+        )
+    return tuple(draw(_trees_of_size(k)) for k in sizes)
+
+
+@given(_co1_triples())
+def test_check_co1_matches_reference_on_drawn_triples(triple):
+    assert _co1_outcome(check_co1, *triple) == _co1_outcome(
+        _reference_check_co1, *triple
+    )
 
 
 def test_check_co2_window():
@@ -164,6 +227,32 @@ def test_check_co2_window():
     ]
     # Fewer than three trees form no window, so nothing is checked.
     assert co2_failures([T(1, 2, 2, 3), T(1, 2, 3, 4)]) == []
+
+
+def test_case_hashes_by_identity():
+    # Members are singletons, also through copy and pickle, so hashing by
+    # identity keys them exactly.
+    assert Case.__hash__ is object.__hash__
+    for case in Case:
+        assert copy.deepcopy(case) is case
+        assert pickle.loads(pickle.dumps(case)) is case
+        assert Case(case.value) is case
+
+
+def test_case_counter_histogram_text():
+    counts = Counter([Case.C1A] * 3 + [Case.C4B2] * 2 + [Case.LAST])
+    counts.update({Case("2b1"): 5})
+    assert counts[Case.C2B1] == 5 and counts[Case("4b2")] == 2
+    assert Case.C1B not in counts
+    # The text format_case_histogram gave while Case hashed through Enum.
+    assert format_case_histogram(counts) == (
+        "1a           3\n1b           0\n2a1          0\n2a2          0\n"
+        "2b1          5\n2b2          0\n2c1          0\n2c2          0\n"
+        "3a1          0\n3a2          0\n3b1          0\n3b2          0\n"
+        "3c1          0\n3c1_other    0\n3c2          0\n4a1          0\n"
+        "4a2          0\n4b1_lt       0\n4b1_eq_rplT  0\n4b1_eq_other 0\n"
+        "4b2          2\n4b3          0\nLAST         1"
+    )
 
 
 def test_format_case_histogram_shape():

@@ -78,9 +78,20 @@ def test_non_integer_entries_rejected():
 
 
 def test_immutable():
-    t = OrderedTree([1, 2])
-    with pytest.raises(AttributeError):
-        t.levels = (1,)
+    # Validated trees, and those child() and enumerate_all build through the
+    # trusted constructor, alike.
+    for t in (OrderedTree([1, 2]), OrderedTree([1, 2]).child(2), next(enumerate_all(3))):
+        with pytest.raises(AttributeError, match="immutable"):
+            t.levels = (1,)
+        with pytest.raises(AttributeError, match="immutable"):
+            t.other = 1
+    assert OrderedTree([1, 2]).child(2).levels == (1, 2, 3)
+
+
+def test_child_index_error_text():
+    with pytest.raises(ValueError) as err:
+        OrderedTree([1, 2, 2]).child(3)
+    assert str(err.value) == "child index 3 outside 1..2 for 1,2,2"
 
 
 def test_parent_drops_last_entry():
