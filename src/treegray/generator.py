@@ -10,15 +10,12 @@ walking down only as far as a level that still has a child to hand up, so
 no recursion limits n.  Only the current/lookahead pair of each level is
 retained, so the whole stack holds O(n) trees no matter how many it emits.
 
-Siblings in a block are adjacent by construction, so only block boundaries
-need proof, and each is proven once, where the next block starts: the level
-rebuilds its used-up block's last child and the one move search proves the
-step to the new block's first.  A checked run proves every level.
-
-The top level yields trees, or with moves=True the first tree followed by
-one canonical move per step: a sibling step's move is read off the child
-index without building a tree, and a boundary's move is its proof.  Both
-give the relations.Delta that is yielded as it stands.
+Siblings in a block are adjacent by construction.  Each level carries the
+move to its lookahead and derives each boundary's move from the one below
+(docs/boundary-moves.md), so no move is searched for; a proven level
+replays it from the used-up block's rebuilt last child.  The top level
+yields trees, or with moves=True the first tree followed by each step's
+canonical relations.Delta, read off the child index for a sibling step.
 
 The per-level streams are the family tree, in which a tree's parent is
 itself minus its rightmost leaf: level k+1 read in order is the
@@ -40,8 +37,8 @@ from .ordering import (
     plan_last,
     plan_step,
 )
-# bench/tracer.py wraps generator.is_adjacent by name, so it stays bound.
-from .relations import Delta, _move, _sibling_move, is_adjacent  # noqa: F401
+from .relations import Delta, _new_delta, _sibling_move, apply_delta
+from .relations import is_adjacent  # noqa: F401  (bench/tracer.py wraps it)
 from .tree import OrderedTree, encode_parens
 
 
@@ -73,17 +70,18 @@ class _Level:
     Its current block is the children of cur (a tree of level k-1) in the
     child-index order `order`, of which the first `pos` are emitted.  nxt is
     the lookahead tree of level k-1, None once cur is that level's final tree,
-    and lm is the leftmost child index fixed for nxt's block.  index is cur's
-    0-based position in level k-1 and case the step label that planned the
-    block.
+    and lm is the leftmost child index fixed for nxt's block.  b is the move
+    from cur to nxt, if moves are derived.  index is cur's 0-based position
+    in level k-1 and case the step label that planned the block.
     """
 
-    __slots__ = ("cur", "nxt", "lm", "order", "pos", "index", "case")
+    __slots__ = ("cur", "nxt", "lm", "b", "order", "pos", "index", "case")
 
-    def __init__(self, nxt: Optional[OrderedTree]):
+    def __init__(self):
         self.cur: Optional[OrderedTree] = None
-        self.nxt = nxt
+        self.nxt: Optional[OrderedTree] = None
         self.lm = 1
+        self.b: Optional[Delta] = None
         self.order: tuple[int, ...] = ()
         self.pos = 0
         self.index = -1
@@ -100,6 +98,16 @@ def _emit(lv: _Level, k: int, stats: Optional[StreamStats]) -> OrderedTree:
     return t
 
 
+def _boundary_move(b: Delta, p: tuple[int, ...], ell: int, nu: int) -> Delta:
+    """The canonical move from P.child(ell), ending P's block, to Q.child(nu),
+    starting Q's, by docs/boundary-moves.md from b = P -> Q and p = P.levels."""
+    k, rpl = len(p) + 1, p[-1] - 1
+    if b.remove_at < k - 1 or ell == nu < rpl:  # lemmas A and B2
+        return b
+    r = k - 2 if ell == nu == rpl + 1 else k  # lemma B3, else B1
+    return _new_delta((r, b.insert_at, b.insert_level))
+
+
 def _advance(
     levels: list[_Level], k: int, proven: int, stats: Optional[StreamStats]
 ) -> tuple[OrderedTree, Optional[Delta]]:
@@ -108,31 +116,36 @@ def _advance(
     nxt's successor in level k-1 comes from the highest level below whose
     block still has a child, or None if the level below that has run out.
     Every level passed over on the way down is used up too; on the way back
-    up each starts its next block with the tree handed up from below, and
-    one at or above `proven` proves the move into it (else the move is None).
+    up each starts its next block with the tree handed up from below and, if
+    any level is proven, derives the move into it; at or above `proven` it
+    replays that move to prove it.  Else the move is None.
     """
+    derive = proven < len(levels)  # checked, or a move stream
     j = k - 1
     below = levels[j]
     while below.pos == len(below.order):
         if below.nxt is None:
-            t: Optional[OrderedTree] = None
+            t = b = None
             break
         j -= 1
         below = levels[j]
     else:
         t = _emit(below, j, stats)
+        b = _sibling_move(below.cur.levels, t.levels[-1]) if derive else None
     while j < k:
         j += 1
         lv = levels[j]
-        last = None
-        if j >= proven and lv.order:
-            # The used-up block's last child, and where that block stood.
-            last = lv.cur.child(lv.order[-1])
-            last_case, last_index = lv.case, lv.index
-            if stats is not None:
-                stats.vertex_writes += j
+        m = last = None
+        if derive and lv.order:
+            m = _boundary_move(lv.b, lv.cur.levels, lv.order[-1], lv.lm)
+            if j >= proven:
+                # The used-up block's last child, and where that block stood.
+                last = lv.cur.child(lv.order[-1])
+                last_case, last_index = lv.case, lv.index
+                if stats is not None:
+                    stats.vertex_writes += j
         lv.cur = cur = lv.nxt
-        lv.nxt = t
+        lv.nxt, lv.b, b = t, b, m  # m goes up as the next level's b
         lv.index += 1
         if t is None:
             case, order = Case.LAST, plan_last(cur, lv.lm)
@@ -149,22 +162,24 @@ def _advance(
         lv.order = order
         lv.pos = 0
         t = _emit(lv, j, stats)
-        m = None
         if last is not None:
-            m = _move(last, t)
-            if m is None:
+            try:
+                proof = apply_delta(last, m).levels == t.levels
+            except ValueError:  # the move does not replay
+                proof = False
+            if not proof:
                 raise AdjacencyViolationError(
                     f"adjacency violation in case {last_case} at level {j} "
                     f"after position {last_index} of level {j - 1}: {last} vs {t}"
                 )
-    return t, m
+    return t, b
 
 
 def _records(
     n: int, checked: bool, moves: bool, stats: Optional[StreamStats]
 ) -> Iterator[Union[OrderedTree, Delta]]:
     # Levels from `proven` up prove each block boundary: all of them when
-    # checked, else only the top of a move stream, whose moves are proofs.
+    # checked, else only the top of a move stream, which yields the moves.
     proven = 2 if checked else n if moves else n + 1
     t = OrderedTree._trusted((1,))
     if stats is not None:
@@ -176,9 +191,9 @@ def _records(
     # levels[k] is level k (levels[0] is padding).  Level 1 is used up from
     # the start; each higher level begins with the first tree of the level
     # below as its lookahead.
-    levels = [_Level(None), _Level(None)]
+    levels = [_Level() for _ in range(n + 1)]
     for k in range(2, n + 1):
-        levels.append(_Level(t))
+        levels[k].nxt = t
         t, _ = _advance(levels, k, proven, stats)
     top = levels[n]
     yield t
@@ -218,8 +233,8 @@ def gray_code(
     stack, is proven once, where the next block starts.  With moves=True only
     the first tree is yielded, followed by the canonical Delta of each step
     (the same as relations.delta gives); sibling steps are read off the child
-    index and each boundary move is proven by the search that finds it,
-    checked or not.  Pass a StreamStats to collect counters.
+    index, and each boundary move is derived from the move below and proven
+    by replay, checked or not.  Pass a StreamStats to collect counters.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")

@@ -3,12 +3,10 @@
 Everything here is independent of the step rules: trees are ranked and
 enumerated in the lexicographic order of level sequences, counts come from
 the Catalan formula, and adjacency is re-checked with relations.is_adjacent.
-That check certifies its answer rather than trusting the O(n) search
-relations._move that the generator's proof of each block boundary also runs:
-two children of one tree are adjacent when they differ, and for any other
-pair the search's move is replayed with apply_delta and compared with the
-second tree.  A _move that returned a move for a non-adjacent pair would
-fool the generator but not this check.  verify() stores no trees: one byte
+That check certifies its answer: two children of one tree are adjacent when
+they differ, and for any other pair the move the O(n) search relations._move
+finds is replayed with apply_delta and compared with the second tree.  The
+generator never runs that search.  verify() stores no trees: one byte
 per lexicographic rank (ballot-number ranking, Zaks 1980) marks the trees
 seen, so unique and complete are "no byte set twice" and "no byte left at
 zero", and only a byte left at zero makes the lexicographic successor walk

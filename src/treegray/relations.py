@@ -3,15 +3,16 @@
 Two trees are adjacent when one can be turned into the other by removing a
 single leaf and appending a single leaf somewhere else, leaving every other
 vertex (and its level) untouched.  A Delta records one such move on the level
-sequence; _move reads it off the first and last differing positions in O(n),
-and _sibling_move gives it without a search when both trees are children of
-one tree.  is_adjacent does not trust the search: it replays the move with
-apply_delta and compares the result.
+sequence; _move reads it off the first and last differing positions in O(n)
+for delta and is_adjacent, which replays it with apply_delta instead of
+trusting the search.  _sibling_move gives it with no search when both trees
+are children of one tree; the generator derives every other move from it.
 Copying, used by the ordering rules, is the restricted form: U arises from T
 by appending a new rightmost leaf, then deleting some other leaf.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .tree import OrderedTree
@@ -47,6 +48,9 @@ class Delta(NamedTuple):
         except ValueError:
             raise ValueError(f"non-integer field in delta {text!r}") from None
         return cls(r, p, v)
+
+
+_new_delta = partial(tuple.__new__, Delta)  # skips NamedTuple's Python __new__
 
 
 def has_pony_tail(tree: OrderedTree) -> bool:
@@ -135,7 +139,7 @@ def _sibling_move(parent: tuple[int, ...], level: int) -> Delta:
     q = len(parent)
     while parent[q - 1] == level:  # parent[0] is the root level 1 < level
         q -= 1
-    return Delta(len(parent) + 1, q + 1, level)
+    return _new_delta((len(parent) + 1, q + 1, level))
 
 
 def is_adjacent(t: OrderedTree, u: OrderedTree) -> bool:

@@ -62,6 +62,9 @@ class OrderedTree:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("OrderedTree is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("OrderedTree is immutable")
+
     def __len__(self) -> int:
         return len(self.levels)
 

@@ -5,6 +5,8 @@ import tracemalloc
 
 import pytest
 
+import treegray.generator
+import treegray.relations
 from treegray import (
     AdjacencyViolationError,
     Delta,
@@ -114,6 +116,21 @@ def test_moves_start_with_the_first_tree():
     assert records[0] == T(1, 2, 2, 2)
     assert records[1:] == list(delta_stream(4))
     assert list(gray_code(1, moves=True)) == [T(1)]
+
+
+def test_generator_derives_moves_without_a_search(monkeypatch):
+    # Every boundary move is derived from the move one level down
+    # (docs/boundary-moves.md), so the O(n) search is not even bound.
+    assert not hasattr(treegray.generator, "_move")
+    runs = [(n, c, m) for n in range(1, 11) for c in (True, False) for m in (False, True)]
+    before = {(n, c, m): list(gray_code(n, checked=c, moves=m)) for n, c, m in runs}
+
+    def search(t, u):
+        raise AssertionError("relations._move called")
+
+    monkeypatch.setattr(treegray.relations, "_move", search)
+    for (n, c, m), records in before.items():
+        assert list(gray_code(n, checked=c, moves=m)) == records, (n, c, m)
 
 
 def test_deep_prefix_has_no_recursion_limit():

@@ -172,11 +172,12 @@ def test_verify_report_is_pinned(n):
     assert hashlib.sha256(text.encode()).hexdigest() == RENDER_SHA256[n]
 
 
-def _verify_broken_n6(monkeypatch, mutate):
-    # Feed verify a gray_code(6) damaged by mutate; smaller levels stay intact.
+def _verify_broken_n6(monkeypatch, mutate, level=6):
+    # Feed verify(6) the per-level streams with the one of size `level`
+    # damaged by mutate; the others stay intact.
     def broken(k, **kwargs):
         trees = list(gray_code(k, **kwargs))
-        if k == 6:
+        if k == level:
             mutate(trees)
         return iter(trees)
 
@@ -285,6 +286,54 @@ def test_verify_locates_repeated_tree(monkeypatch):
     assert "missing: 1,2,3,3,3,3" in lines
     assert "not adjacent: positions 17,18" in lines
     assert "co2 violated: level 6, window 18" in lines
+
+
+def test_verify_checks_the_first_pair(monkeypatch):
+    # Only the pairs (0, 1) and (4, 5) of this stream are not adjacent.
+    def swap(trees):
+        trees[1], trees[4] = trees[4], trees[1]
+
+    report = _verify_broken_n6(monkeypatch, swap)
+    assert report.adjacency_failures == [(0, 1), (4, 5)]
+    assert report.invariant_failures == [(6, 4, "co2")]
+    assert "not adjacent: positions 0,1" in report.render().splitlines()
+
+
+def test_verify_checks_the_first_co2_window(monkeypatch):
+    # Only the window that starts the stream breaks co2.
+    def swap(trees):
+        trees[0], trees[9] = trees[9], trees[0]
+
+    report = _verify_broken_n6(monkeypatch, swap)
+    assert report.adjacency_failures == [(9, 10)]
+    assert report.invariant_failures == [(6, 0, "co2")]
+    assert "co2 violated: level 6, window 0" in report.render().splitlines()
+
+
+def test_verify_sweeps_co1_up_to_level_n_minus_1(monkeypatch):
+    # Level 5 breaks co1 and nothing else: verify(5) would see the break as
+    # co2, so only the sweep of verify(6) over the levels below 6 finds it.
+    def swap(trees):
+        trees[3], trees[10] = trees[10], trees[3]
+
+    report = _verify_broken_n6(monkeypatch, swap, level=5)
+    assert not report.passed
+    assert report.total == 42 and report.adjacency_failures == []
+    assert report.invariant_failures == [(5, 3, "co1")]
+    assert "co1 violated: level 5, window 3" in report.render().splitlines()
+
+
+def test_verify_names_a_missing_lexicographically_last_tree(monkeypatch):
+    path = OrderedTree([1, 2, 3, 4, 5, 6])
+
+    def repeat(trees):
+        trees[trees.index(path)] = trees[0]
+
+    report = _verify_broken_n6(monkeypatch, repeat)
+    assert not report.passed
+    assert report.duplicates == [OrderedTree([1, 2, 2, 2, 2, 2])]
+    assert report.missing == [path]
+    assert "missing: 1,2,3,4,5,6" in report.render().splitlines()
 
 
 def test_gray_check_certifies_the_search(monkeypatch):

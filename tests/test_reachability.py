@@ -1,10 +1,13 @@
-"""Machine check of the reachability argument in docs/label-reachability.md.
+"""Machine check of the arguments in docs/label-reachability.md and
+docs/boundary-moves.md.
 
-The argument proves by induction over the per-level streams that six step
+The first proves by induction over the per-level streams that six step
 labels are never selected.  These tests assert, on the real streams, every
 statement the induction uses: the tree lemmas F1-F3 on all small trees, and
 the stream invariants H1-H6, the table of plan_step results and the sibling
 step rules W1-W3 on every consecutive pair of gray_code(k) for k <= 11.
+The second proves the rule that gives each block boundary's move from the
+move one level down; it is checked at every boundary of every level k <= 11.
 """
 import importlib.util
 import itertools
@@ -13,8 +16,10 @@ from pathlib import Path
 
 from treegray import (
     Case,
+    Delta,
     OrderedTree,
     StreamStats,
+    delta,
     enumerate_all,
     gray_code,
     has_pony_tail,
@@ -162,6 +167,37 @@ def test_invariants_reject_each_excluded_label():
         if case in TABLE:
             assert (order, nl) == TABLE[case](u.rpl, v.rpl, lm), name
 
+
+
+def _boundary_rule(b, p, last, first):
+    """The lemma of docs/boundary-moves.md for the boundary from
+    p.child(last) to q.child(first), where b is the canonical move p -> q,
+    and the move the lemma gives."""
+    k = p.size + 1
+    if b.remove_at < k - 1:
+        return "A", b
+    if last != first or last == p.rpl:
+        return "B1", Delta(k, b.insert_at, b.insert_level)
+    if last == p.rpl + 1:
+        return "B3", Delta(k - 2, b.insert_at, b.insert_level)
+    return "B2", b
+
+
+def test_boundary_moves_follow_the_rule():
+    # Level k's boundaries come from the steps of level k - 1; each one's
+    # canonical move is the one its lemma derives from the step's move.
+    lemmas = Counter()
+    for k in range(3, 12):
+        for cur, nxt, lm, case, order, nl in _steps(k - 1):
+            lemma, m = _boundary_rule(delta(cur, nxt), cur, order[-1], nl)
+            last, first = cur.child(order[-1]), nxt.child(nl)
+            assert delta(last, first) == m, (k, cur, nxt, case, lemma)
+            lemmas[lemma] += 1
+            # D5 of the argument: a 2b1 step joins siblings.
+            if case is Case.C2B1:
+                assert cur.parent() == nxt.parent(), (k, cur, nxt)
+    # The check is not vacuous: every lemma's case occurs.
+    assert set(lemmas) == {"A", "B1", "B2", "B3"}
 
 
 def test_label_scan_matches_stream_stats():

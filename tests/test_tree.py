@@ -85,6 +85,10 @@ def test_immutable():
             t.levels = (1,)
         with pytest.raises(AttributeError, match="immutable"):
             t.other = 1
+        # Deleting the one slot would leave a tree that cannot hash.
+        with pytest.raises(AttributeError, match="immutable"):
+            del t.levels
+        assert hash(t) == hash(t.levels)
     assert OrderedTree([1, 2]).child(2).levels == (1, 2, 3)
 
 
