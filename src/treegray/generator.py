@@ -13,9 +13,10 @@ retained, so the whole stack holds O(n) trees no matter how many it emits.
 Siblings in a block are adjacent by construction.  Each level carries the
 move to its lookahead and derives each boundary's move from the one below
 (docs/boundary-moves.md), so no move is searched for; a proven level
-replays it from the used-up block's rebuilt last child.  The top level
-yields trees, or with moves=True the first tree followed by each step's
-canonical relations.Delta, read off the child index for a sibling step.
+replays it from the used-up block's last child as the level above holds it,
+and only the top level builds that child again.  The top level yields
+trees, or with moves=True the first tree followed by each step's canonical
+relations.Delta, read off the child index for a sibling step.
 
 The per-level streams are the family tree, in which a tree's parent is
 itself minus its rightmost leaf: level k+1 read in order is the
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from .ordering import (
@@ -42,22 +42,30 @@ from .relations import is_adjacent  # noqa: F401  (bench/tracer.py wraps it)
 from .tree import OrderedTree, encode_parens
 
 
-@dataclass
 class StreamStats:
     """Instrumentation collected during one generation run.
 
     vertex_writes counts every level-sequence entry written while
     materializing trees (a size-k tree costs k writes), including the last
-    child each proven block boundary rebuilds; under moves=True only the
-    boundary trees are built at level n, so only they count there.
+    child the top level rebuilds at each proven block boundary (the levels
+    below replay from the child they already hold); under moves=True only
+    the boundary trees are built at level n, so only they count there.
     emitted counts records produced per level: trees, and at level n under
     moves=True every record, moves included.  case_counts tallies every step
     label, including forbidden ones, before any error is raised.
     """
 
-    vertex_writes: int = 0
-    emitted: Counter = field(default_factory=Counter)
-    case_counts: Counter = field(default_factory=Counter)
+    # A plain class, not a dataclass: importing dataclasses also imports
+    # inspect, ast, dis and tokenize, about 1 MB of every run's peak.
+    def __init__(
+        self,
+        vertex_writes: int = 0,
+        emitted: Optional[Counter] = None,
+        case_counts: Optional[Counter] = None,
+    ):
+        self.vertex_writes = vertex_writes
+        self.emitted = Counter() if emitted is None else emitted
+        self.case_counts = Counter() if case_counts is None else case_counts
 
     @property
     def total_emitted(self) -> int:
@@ -88,16 +96,6 @@ class _Level:
         self.case: Optional[Case] = None
 
 
-def _emit(lv: _Level, k: int, stats: Optional[StreamStats]) -> OrderedTree:
-    # The next child of level k's current block.
-    t = lv.cur.child(lv.order[lv.pos])
-    lv.pos += 1
-    if stats is not None:
-        stats.vertex_writes += k
-        stats.emitted[k] += 1
-    return t
-
-
 def _boundary_move(b: Delta, p: tuple[int, ...], ell: int, nu: int) -> Delta:
     """The canonical move from P.child(ell), ending P's block, to Q.child(nu),
     starting Q's, by docs/boundary-moves.md from b = P -> Q and p = P.levels."""
@@ -119,6 +117,11 @@ def _advance(
     up each starts its next block with the tree handed up from below and, if
     any level is proven, derives the move into it; at or above `proven` it
     replays that move to prove it.  Else the move is None.
+
+    The replay starts from the used-up block's last child itself: every tree
+    level j emits goes up as level j + 1's lookahead, so below k that child
+    is still levels[j + 1].nxt.  Only level k, whose trees leave the stack,
+    builds it again.
     """
     derive = proven < len(levels)  # checked, or a move stream
     j = k - 1
@@ -130,8 +133,13 @@ def _advance(
         j -= 1
         below = levels[j]
     else:
-        t = _emit(below, j, stats)
-        b = _sibling_move(below.cur.levels, t.levels[-1]) if derive else None
+        i = below.order[below.pos]
+        below.pos += 1
+        t = below.cur.child(i)
+        if stats is not None:
+            stats.vertex_writes += j
+            stats.emitted[j] += 1
+        b = _sibling_move(below.cur.levels, i + 1) if derive else None
     while j < k:
         j += 1
         lv = levels[j]
@@ -140,10 +148,13 @@ def _advance(
             m = _boundary_move(lv.b, lv.cur.levels, lv.order[-1], lv.lm)
             if j >= proven:
                 # The used-up block's last child, and where that block stood.
-                last = lv.cur.child(lv.order[-1])
+                if j < k:
+                    last = levels[j + 1].nxt
+                else:
+                    last = lv.cur.child(lv.order[-1])
+                    if stats is not None:
+                        stats.vertex_writes += j
                 last_case, last_index = lv.case, lv.index
-                if stats is not None:
-                    stats.vertex_writes += j
         lv.cur = cur = lv.nxt
         lv.nxt, lv.b, b = t, b, m  # m goes up as the next level's b
         lv.index += 1
@@ -160,8 +171,11 @@ def _advance(
             )
         lv.case = case
         lv.order = order
-        lv.pos = 0
-        t = _emit(lv, j, stats)
+        lv.pos = 1
+        t = cur.child(order[0])
+        if stats is not None:
+            stats.vertex_writes += j
+            stats.emitted[j] += 1
         if last is not None:
             try:
                 proof = apply_delta(last, m).levels == t.levels
@@ -276,6 +290,13 @@ def _dot(n: int) -> Iterator[str]:
             yield f' "{encode_parens(t)}";'
         yield " }\n"
     for k in range(2, n + 1):
+        # A block's children come in a row, so each parent is encoded once
+        # per block: again only when the head levels[:-1] changes.
+        head = source = None
         for c in gray_code(k, checked=False):
-            yield f'  "{encode_parens(c.parent())}" -> "{encode_parens(c)}";\n'
+            levels = c.levels[:-1]
+            if levels != head:
+                head = levels
+                source = encode_parens(c.parent())
+            yield f'  "{source}" -> "{encode_parens(c)}";\n'
     yield "}\n"

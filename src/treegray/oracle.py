@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
@@ -102,7 +101,6 @@ def enumerate_all(n: int) -> Iterator[OrderedTree]:
     return map(OrderedTree._trusted, _successors(n))
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one full verification run.
 
@@ -112,14 +110,31 @@ class VerificationReport:
     generator itself, which also fails the report.
     """
 
-    n: int
-    total: int = 0
-    duplicates: list[OrderedTree] = field(default_factory=list)
-    missing: list[OrderedTree] = field(default_factory=list)
-    adjacency_failures: list[tuple[int, int]] = field(default_factory=list)
-    invariant_failures: list[tuple[int, int, str]] = field(default_factory=list)
-    case_histogram: Counter = field(default_factory=Counter)
-    generation_error: Optional[str] = None
+    # A plain class, as generator.StreamStats is: dataclasses would bring
+    # inspect, ast, dis and tokenize onto every run's import path.
+    def __init__(
+        self,
+        n: int,
+        total: int = 0,
+        duplicates: Optional[list[OrderedTree]] = None,
+        missing: Optional[list[OrderedTree]] = None,
+        adjacency_failures: Optional[list[tuple[int, int]]] = None,
+        invariant_failures: Optional[list[tuple[int, int, str]]] = None,
+        case_histogram: Optional[Counter] = None,
+        generation_error: Optional[str] = None,
+    ):
+        self.n = n
+        self.total = total
+        self.duplicates = [] if duplicates is None else duplicates
+        self.missing = [] if missing is None else missing
+        self.adjacency_failures = (
+            [] if adjacency_failures is None else adjacency_failures
+        )
+        self.invariant_failures = (
+            [] if invariant_failures is None else invariant_failures
+        )
+        self.case_histogram = Counter() if case_histogram is None else case_histogram
+        self.generation_error = generation_error
 
     @property
     def expected(self) -> int:

@@ -22,6 +22,7 @@ label 3c1: it needs mutual copying, which 3b1 takes first.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from typing import Mapping
 
 from .relations import has_pony_tail, is_copying
@@ -86,6 +87,20 @@ def _descending(top: int, *skip: int) -> list[int]:
     return [i for i in range(top, 0, -1) if i not in skip]
 
 
+@lru_cache(maxsize=256)
+def _order(lm: int, top: int, right: int) -> tuple[int, ...]:
+    """The block order of child indices 1..top that starts with lm and ends
+    with right (lm != right).  Between them the other children come by
+    increasing rpl when lm is 1 (case 4a), else by decreasing rpl.
+
+    Orders repeat from block to block, so they are shared, not rebuilt; the
+    cache keeps at most 256 of them (a run at n=13 uses 94).
+    """
+    if lm == 1:
+        return (1, *[i for i in range(2, top + 1) if i != right], right)
+    return (lm, *_descending(top, lm, right), right)
+
+
 def plan_step(
     t_cur: OrderedTree, t_next: OrderedTree, leftmost_index: int
 ) -> tuple[Case, tuple[int, ...], int]:
@@ -97,7 +112,7 @@ def plan_step(
     Forbidden labels are returned with an empty order, not raised, so
     callers can count them before failing.
     """
-    r1, r2 = t_cur.rpl, t_next.rpl
+    r1, r2 = t_cur.levels[-1] - 1, t_next.levels[-1] - 1
     lm = leftmost_index
     first = lm == 1
     if r1 == 1:
@@ -131,13 +146,12 @@ def plan_step(
             )
         if first:  # 3a1 or 3c1_other
             return case, (), 0
-        return case, (lm, *_descending(r1 + 1, lm, 1), 1), 1
+        return case, _order(lm, r1 + 1, 1), 1
     if first:
         # Middle children by increasing rpl, the smaller rpl of the pair last.
         case = Case.C4A1 if r1 <= r2 else Case.C4A2
         right = min(r1, r2)
-        mid = [i for i in range(2, r1 + 2) if i != right]
-        return case, (1, *mid, right), right
+        return case, _order(1, r1 + 1, right), right
     if r1 < r2:
         case, right, nl = Case.C4B1_LT, 1, r1
     elif r1 == r2:
@@ -150,7 +164,7 @@ def plan_step(
         case, right, nl = Case.C4B2, r2, r2
     else:
         return Case.C4B3, (), 0
-    return case, (lm, *_descending(r1 + 1, lm, right), right), nl
+    return case, _order(lm, r1 + 1, right), nl
 
 
 def plan_last(t_last: OrderedTree, leftmost_index: int) -> tuple[int, ...]:

@@ -86,6 +86,9 @@ def is_copying(t: OrderedTree, u: OrderedTree) -> bool:
         return False
     grown = tl + (ul[-1],)
     s = n - 1  # the appended leaf matches u's last entry
+    # Long equal runs (a star's 2s) go 64 entries per C-level comparison.
+    while s >= 64 and grown[s - 63 : s + 1] == ul[s - 64 : s]:
+        s -= 64
     while grown[s] == ul[s - 1]:  # stops at 1: grown[1] >= 2 > ul[0]
         s -= 1
     return grown[:s] == ul[:s] and grown[s + 1] <= grown[s]
@@ -180,20 +183,20 @@ def apply_delta(t: OrderedTree, d: Delta) -> OrderedTree:
     """
     levels = t.levels
     m = len(levels)
-    j = d.remove_at - 1
+    r, p, v = d
+    j, q = r - 1, p - 1
     if not 1 <= j < m:
-        raise ValueError(f"remove_at {d.remove_at} out of range for {t}")
+        raise ValueError(f"remove_at {r} out of range for {t}")
     if j != m - 1 and levels[j + 1] > levels[j]:
-        raise ValueError(f"entry {d.remove_at} of {t} is not a leaf")
-    short = levels[:j] + levels[j + 1 :]
-    q = d.insert_at - 1
-    v = d.insert_level
-    if not 1 <= q <= len(short):
-        raise ValueError(f"insert_at {d.insert_at} out of range")
+        raise ValueError(f"entry {r} of {t} is not a leaf")
+    # One list edited in place: fewer tuples than slicing twice.
+    short = list(levels)
+    del short[j]
+    if not 1 <= q < m:
+        raise ValueError(f"insert_at {p} out of range")
     if not 2 <= v <= short[q - 1] + 1:
         raise ValueError(f"insert_level {v} invalid after level {short[q - 1]}")
-    if q < len(short) and short[q] > v:
-        raise ValueError(
-            f"inserting level {v} at {d.insert_at} would capture a subtree"
-        )
-    return OrderedTree._trusted(short[:q] + (v,) + short[q:])
+    if q < m - 1 and short[q] > v:
+        raise ValueError(f"inserting level {v} at {p} would capture a subtree")
+    short.insert(q, v)
+    return OrderedTree._trusted(tuple(short))

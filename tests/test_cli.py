@@ -232,6 +232,26 @@ def test_override_cap_warns_of_run_time_for_verify(monkeypatch, capsys):
     )
 
 
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # dataclasses also imports inspect, ast, dis and tokenize: about 1 MB of
+    # every run's peak RSS.  -S keeps the site hooks' own imports out.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, treegray.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_gen_into_closed_pipe_exits_0():
     # The reader takes one line and closes the pipe, as `head -1` would.
     src = Path(__file__).resolve().parents[1] / "src"

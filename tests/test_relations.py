@@ -2,7 +2,7 @@
 from itertools import islice
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import treegray.relations
 from treegray import (
@@ -201,6 +201,70 @@ def test_copying_matches_definition_on_random_pairs(pair):
     t, u = pair
     if t != u:  # copying is defined for distinct trees only
         assert is_copying(t, u) == _copying_dumb(t, u)
+
+
+def _valid(levels):
+    return all(2 <= levels[x] <= levels[x - 1] + 1 for x in range(1, len(levels)))
+
+
+@st.composite
+def _star_like_pairs(draw):
+    # A star, or a star hung below the root's one child, of size 3..300 with
+    # a few entries moved one level, and a tree drawn from it by appending a
+    # leaf, deleting an entry (a leaf or not) and perhaps moving one more
+    # entry one level.  The changes sit within two places of a multiple of
+    # 64 from the end, where is_copying's 64-entry comparisons meet, so long
+    # equal runs end right there.
+    n = draw(st.integers(min_value=3, max_value=300))
+
+    def near():
+        back = 64 * draw(st.integers(0, 4)) - draw(st.integers(-2, 2))
+        return min(max(2, n - 1 - back), n - 1)
+
+    def nudged(levels, i):
+        out = levels[:i] + [levels[i] + draw(st.sampled_from((-1, 1)))] + levels[i + 1 :]
+        return out if _valid(out) else levels
+
+    t = [1, 2] + [draw(st.sampled_from((2, 3)))] * (n - 2)
+    at = near()
+    for i in [at] + [near() for _ in range(draw(st.integers(0, 3)))]:
+        t = nudged(t, i)
+    grown = t + [draw(st.integers(min_value=2, max_value=t[-1] + 1))]
+    u = grown[:at] + grown[at + 1 :]
+    assume(_valid(u))
+    if draw(st.booleans()):
+        u = nudged(u, near())
+    assume(t != u)
+    return OrderedTree(t), OrderedTree(u)
+
+
+@given(_star_like_pairs())
+@settings(max_examples=300)
+def test_copying_matches_definition_across_chunk_boundaries(pair):
+    t, u = pair
+    assert is_copying(t, u) == _copying_dumb(t, u)
+
+
+def _broom(n, two_at):
+    # The root's one child holds n - 2 leaves; entry two_at is a 2 instead.
+    levels = [1, 2] + [3] * (n - 2)
+    levels[two_at] = 2
+    return OrderedTree(levels)
+
+
+@pytest.mark.parametrize(
+    "n,two_at",
+    [(130, 129), (100, 36)],
+    ids=["chunk-start", "one-past-chunk-end"],
+)
+def test_copying_rejects_a_non_leaf_deletion_at_a_chunk_edge(n, two_at):
+    # u deletes t's lone 2, which is not a leaf once a 3 is appended after
+    # it; the scan from the right stops exactly there, at the first entry of
+    # a 64-entry comparison or just below its last, with equal runs around.
+    t = _broom(n, two_at)
+    u = OrderedTree([1, 2] + [3] * (n - 2))
+    assert not _copying_dumb(t, u)
+    assert not is_copying(t, u)
 
 
 @pytest.mark.parametrize(
