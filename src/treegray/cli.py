@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 verification, generation or write failure, 2 usage erro
 Arguments are checked before any output is written, so a ValueError raised
 while gen or dot is writing is a generation failure, not a usage error.
 
-gen renders its records with the text functions of treegray.tree:
-level_lines, encode_parens, and str for the delta format.
+gen renders its records block by block from generator.gray_blocks: each
+block's parent is rendered once, by the text functions of treegray.tree for
+the levels and parens formats, and each record adds a short suffix; in the
+delta format each sibling move comes from relations._sibling_move_lines.
 """
 from __future__ import annotations
 
@@ -19,11 +21,12 @@ import sys
 import time
 from typing import Callable, Iterator, Optional
 
-from .generator import StreamStats, export_dot, gray_code
+from .generator import Block, StreamStats, export_dot, gray_blocks, gray_code
 from .oracle import catalan, verify
+from .relations import _sibling_move_lines, _sibling_move_table
 # bench/tracer.py wraps cli.delta by name, so it stays bound.
 from .relations import delta  # noqa: F401
-from .tree import encode_parens, level_lines
+from .tree import child_lines, child_parens, encode_parens
 
 # verify keeps one byte per tree, Catalan(n-1) of them (742,900 at n=14), so
 # its cap bounds run time, not memory: each vertex multiplies the trees by
@@ -79,10 +82,28 @@ def _fail(exc: Exception) -> int:
 
 
 def _gen_lines(n: int, fmt: str, checked: bool) -> Iterator[str]:
-    records = gray_code(n, checked=checked, moves=fmt == "delta")
+    if n == 1:  # the one tree of size 1 has no parent, so it is no block
+        return map(encode_parens if fmt == "parens" else str, gray_code(1))
+    blocks = gray_blocks(n, checked=checked, moves=fmt == "delta")
+    if fmt == "delta":
+        return _delta_lines(n, blocks)
     if fmt == "levels":
-        return level_lines(records)
-    return map(encode_parens if fmt == "parens" else str, records)
+        lines = (child_lines(p.levels, order) for p, order, _, _ in blocks)
+    else:
+        lines = (
+            child_parens(encode_parens(p), p.levels[-1], order)
+            for p, order, _, _ in blocks
+        )
+    return itertools.chain.from_iterable(lines)
+
+
+def _delta_lines(n: int, blocks: Iterator[Block]) -> Iterator[str]:
+    # The first tree in levels form, then each block's boundary move and the
+    # moves between its siblings.
+    table = _sibling_move_table(n)
+    for parent, order, _, move in blocks:
+        yield str(parent.child(order[0])) if move is None else str(move)
+        yield from _sibling_move_lines(parent.levels, order[1:], table)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -14,9 +14,12 @@ Siblings in a block are adjacent by construction.  Each level carries the
 move to its lookahead and derives each boundary's move from the one below
 (docs/boundary-moves.md), so no move is searched for; a proven level
 replays it from the used-up block's last child as the level above holds it,
-and only the top level builds that child again.  The top level yields
-trees, or with moves=True the first tree followed by each step's canonical
-relations.Delta, read off the child index for a sibling step.
+and only the top level builds that child again.  The top level hands out
+blocks (gray_blocks): a parent, its child order and, where the boundary is
+proven, the first child and the move into it; it builds no other tree of
+size n.  gray_code flattens them into trees, or with moves=True into the
+first tree followed by each step's canonical relations.Delta, read off the
+child index for a sibling step; the CLI renders them as text.
 
 The per-level streams are the family tree, in which a tree's parent is
 itself minus its rightmost leaf: level k+1 read in order is the
@@ -39,7 +42,7 @@ from .ordering import (
 )
 from .relations import Delta, _new_delta, _sibling_move, apply_delta
 from .relations import is_adjacent  # noqa: F401  (bench/tracer.py wraps it)
-from .tree import OrderedTree, encode_parens
+from .tree import OrderedTree, child_parens, encode_parens
 
 
 class StreamStats:
@@ -50,6 +53,8 @@ class StreamStats:
     child the top level rebuilds at each proven block boundary (the levels
     below replay from the child they already hold); under moves=True only
     the boundary trees are built at level n, so only they count there.
+    Level n's first child in each block is built by the walk only where it
+    proves the boundary into it; gray_code builds and counts the rest.
     emitted counts records produced per level: trees, and at level n under
     moves=True every record, moves included.  case_counts tallies every step
     label, including forbidden ones, before any error is raised.
@@ -108,7 +113,7 @@ def _boundary_move(b: Delta, p: tuple[int, ...], ell: int, nu: int) -> Delta:
 
 def _advance(
     levels: list[_Level], k: int, proven: int, stats: Optional[StreamStats]
-) -> tuple[OrderedTree, Optional[Delta]]:
+) -> tuple[Optional[OrderedTree], Optional[Delta]]:
     """Start level k's next block; return its first child and the move to it.
 
     nxt's successor in level k-1 comes from the highest level below whose
@@ -119,11 +124,13 @@ def _advance(
     replays that move to prove it.  Else the move is None.
 
     The replay starts from the used-up block's last child itself: every tree
-    level j emits goes up as level j + 1's lookahead, so below k that child
-    is still levels[j + 1].nxt.  Only level k, whose trees leave the stack,
-    builds it again.
+    level j emits goes up as level j + 1's lookahead, so below the top that
+    child is still levels[j + 1].nxt.  Only the top level, whose trees leave
+    the stack, builds it again, and it builds its new first child only to
+    prove the move into it; else that child is None.
     """
-    derive = proven < len(levels)  # checked, or a move stream
+    top = len(levels) - 1
+    derive = proven <= top  # checked, or a move stream
     j = k - 1
     below = levels[j]
     while below.pos == len(below.order):
@@ -148,7 +155,7 @@ def _advance(
             m = _boundary_move(lv.b, lv.cur.levels, lv.order[-1], lv.lm)
             if j >= proven:
                 # The used-up block's last child, and where that block stood.
-                if j < k:
+                if j < top:
                     last = levels[j + 1].nxt
                 else:
                     last = lv.cur.child(lv.order[-1])
@@ -172,10 +179,13 @@ def _advance(
         lv.case = case
         lv.order = order
         lv.pos = 1
+        if stats is not None:
+            stats.emitted[j] += 1
+        if last is None and j == top:
+            return None, b  # the top's first child goes up to no level
         t = cur.child(order[0])
         if stats is not None:
             stats.vertex_writes += j
-            stats.emitted[j] += 1
         if last is not None:
             try:
                 proof = apply_delta(last, m).levels == t.levels
@@ -189,9 +199,14 @@ def _advance(
     return t, b
 
 
-def _records(
+# (parent, child-index order, first child if built, move into it): see
+# gray_blocks.
+Block = tuple[OrderedTree, tuple[int, ...], Optional[OrderedTree], Optional[Delta]]
+
+
+def _blocks(
     n: int, checked: bool, moves: bool, stats: Optional[StreamStats]
-) -> Iterator[Union[OrderedTree, Delta]]:
+) -> Iterator[Block]:
     # Levels from `proven` up prove each block boundary: all of them when
     # checked, else only the top of a move stream, which yields the moves.
     proven = 2 if checked else n if moves else n + 1
@@ -199,38 +214,71 @@ def _records(
     if stats is not None:
         stats.vertex_writes += 1
         stats.emitted[1] += 1
-    if n == 1:
-        yield t
-        return
     # levels[k] is level k (levels[0] is padding).  Level 1 is used up from
     # the start; each higher level begins with the first tree of the level
     # below as its lookahead.
     levels = [_Level() for _ in range(n + 1)]
     for k in range(2, n + 1):
         levels[k].nxt = t
-        t, _ = _advance(levels, k, proven, stats)
+        t, m = _advance(levels, k, proven, stats)
     top = levels[n]
-    yield t
     while True:
-        cur, order = top.cur, top.order
+        yield top.cur, top.order, t, m
+        if top.nxt is None:
+            return
+        t, m = _advance(levels, n, proven, stats)
+
+
+def _records(
+    n: int, checked: bool, moves: bool, stats: Optional[StreamStats]
+) -> Iterator[Union[OrderedTree, Delta]]:
+    if n == 1:
+        if stats is not None:
+            stats.vertex_writes += 1
+            stats.emitted[1] += 1
+        yield OrderedTree._trusted((1,))
+        return
+    for parent, order, t, m in _blocks(n, checked, moves, stats):
+        if m is not None and moves:
+            yield m
+        else:  # a tree stream, or the first record of a move stream
+            if t is None:
+                t = parent.child(order[0])
+                if stats is not None:
+                    stats.vertex_writes += n
+            yield t
         if moves:
             # Sibling steps need no tree: the move is fixed by the index.
-            parent = cur.levels
+            head = parent.levels
             for i in order[1:]:
                 if stats is not None:
                     stats.emitted[n] += 1
-                yield _sibling_move(parent, i + 1)
+                yield _sibling_move(head, i + 1)
         else:
             for i in order[1:]:
-                t = cur.child(i)
+                t = parent.child(i)
                 if stats is not None:
                     stats.vertex_writes += n
                     stats.emitted[n] += 1
                 yield t
-        if top.nxt is None:
-            return
-        t, m = _advance(levels, n, proven, stats)
-        yield m if moves else t
+
+
+def gray_blocks(n: int, *, checked: bool = True, moves: bool = False) -> Iterator[Block]:
+    """Yield gray_code(n) one block at a time, building no tree per record.
+
+    A block is all the children of one tree of size n-1, in the order the
+    code lists them: (parent, order, first, move), where the records are
+    parent.child(i) for each child index i in order.  `first` is the first
+    of them if the top level built it to prove the boundary into it, else
+    None; `move` is the canonical Delta into it from the last record of the
+    block before, derived when checked or with moves=True and None
+    otherwise (and always for the first block).  Every boundary is proven
+    as gray_code proves it, before its block is yielded.  n must be at
+    least 2: the one tree of size 1 has no parent.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    return _blocks(n, checked, moves, None)
 
 
 def gray_code(
@@ -272,10 +320,11 @@ def export_dot(n: int) -> Iterator[str]:
     """Yield the family tree of sizes 1..n as Graphviz DOT text, in pieces.
 
     Each size k is one rank, read from gray_code(k).  The edges are
-    parent(c) -> c for every c of sizes 2..n in stream order, which lists
-    each tree's children in step-rule order, and `ordering=out` keeps that
-    order.  Node ids are parenthesis encodings.  One stream is open at a
-    time, so the text is produced holding O(n) trees.
+    parent(c) -> c for every c of sizes 2..n in stream order, read block by
+    block, which lists each tree's children in step-rule order, and
+    `ordering=out` keeps that order.  Node ids are parenthesis encodings;
+    each parent is encoded once per block and its children from it.  One
+    stream is open at a time, so the text is produced holding O(n) trees.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -290,13 +339,9 @@ def _dot(n: int) -> Iterator[str]:
             yield f' "{encode_parens(t)}";'
         yield " }\n"
     for k in range(2, n + 1):
-        # A block's children come in a row, so each parent is encoded once
-        # per block: again only when the head levels[:-1] changes.
-        head = source = None
-        for c in gray_code(k, checked=False):
-            levels = c.levels[:-1]
-            if levels != head:
-                head = levels
-                source = encode_parens(c.parent())
-            yield f'  "{source}" -> "{encode_parens(c)}";\n'
+        # Each block is the children of one parent, encoded once per block.
+        for parent, order, _, _ in _blocks(k, False, False, None):
+            source = encode_parens(parent)
+            for target in child_parens(source, parent.levels[-1], order):
+                yield f'  "{source}" -> "{target}";\n'
     yield "}\n"

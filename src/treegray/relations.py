@@ -13,7 +13,7 @@ by appending a new rightmost leaf, then deleting some other leaf.
 from __future__ import annotations
 
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .tree import OrderedTree
 
@@ -140,9 +140,31 @@ def _sibling_move(parent: tuple[int, ...], level: int) -> Delta:
     starts.  No tree is built.
     """
     q = len(parent)
+    # Long runs (a star's 2s) go 64 entries per C-level comparison.
+    if q > 64 and parent[q - 64] == level:
+        run = (level,) * 64
+        while q > 64 and parent[q - 64 : q] == run:
+            q -= 64
     while parent[q - 1] == level:  # parent[0] is the root level 1 < level
         q -= 1
     return _new_delta((len(parent) + 1, q + 1, level))
+
+
+def _sibling_move_table(n: int) -> list[str]:
+    """str(_sibling_move(parent, i + 1)) at index i, for any parent of size
+    n - 1 whose last level is not i + 1: the trailing run of i + 1 in the
+    result is the new leaf alone, so the move is (n, n, i + 1)."""
+    return [f"{n} {n} {i + 1}" for i in range(n)]
+
+
+def _sibling_move_lines(
+    parent: tuple[int, ...], order: Iterable[int], table: list[str]
+) -> list[str]:
+    """str(_sibling_move(parent, i + 1)) for each child index i in order,
+    with table = _sibling_move_table(len(parent) + 1).  Only the child whose
+    new leaf repeats parent's last level walks back over a trailing run."""
+    same = parent[-1] - 1
+    return [table[i] if i != same else str(_sibling_move(parent, i + 1)) for i in order]
 
 
 def is_adjacent(t: OrderedTree, u: OrderedTree) -> bool:

@@ -6,12 +6,14 @@ entry e satisfies 2 <= e <= previous + 1.  The representation is canonical:
 two ordered trees are equal exactly when their level sequences are.
 
 This module owns both text formats: the comma-separated level sequence
-(``str(tree)``, and ``level_lines`` for a stream of trees) and the balanced
-parentheses (``encode_parens``/``decode_parens``).
+(``str(tree)``) and the balanced parentheses (``encode_parens``/
+``decode_parens``).  ``child_lines`` and ``child_parens`` render all the
+children of one tree in either format from the tree's own text, so a block
+of siblings costs one rendering of their parent plus one short suffix each.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class InvalidLevelSequence(ValueError):
@@ -136,23 +138,28 @@ def _text(levels: tuple[int, ...]) -> str:
     return template % levels
 
 
-def level_lines(trees: Iterable[OrderedTree]) -> Iterator[str]:
-    """Yield ``str(tree)`` for each tree, rendering shared heads once.
+def child_lines(parent: tuple[int, ...], order: Iterable[int]) -> list[str]:
+    """``str(tree.child(i))`` for each child index i in order, where parent
+    is ``tree.levels``.
 
-    The children of one tree share every level but the last, so the text of
-    ``levels[:-1]`` (the block's head) is rendered once and reused while the
-    next tree's head equals it; any other head is rendered again.  Each line
-    therefore equals ``str(tree)`` whatever order the trees come in.
+    The children of one tree share every level but the last, so parent's
+    text is rendered once and each child adds its last level, i + 1.
     """
-    shared = None
-    head = ""
-    for tree in trees:
-        levels = tree.levels
-        prefix = levels[:-1]
-        if prefix != shared:
-            shared = prefix
-            head = _text(prefix)
-        yield f"{head}{levels[-1]}"
+    head = _text(parent)
+    return [f"{head}{i + 1}" for i in order]
+
+
+def child_parens(code: str, last: int, order: Iterable[int]) -> list[str]:
+    """``encode_parens(tree.child(i))`` for each child index i in order, where
+    code is ``encode_parens(tree)`` and last is the tree's last level.
+
+    code ends with the ``last`` closing parens of the rightmost path.  The
+    new leaf at level v = i + 1 hangs below the level-i vertex of that path,
+    so the child closes ``last - v + 1`` of them, opens the leaf, and closes
+    the leaf and the v - 1 vertices above it.
+    """
+    head = code[:-last]
+    return [f"{head}{')' * (last - i)}({')' * (i + 1)}" for i in order]
 
 
 def encode_parens(tree: OrderedTree) -> str:

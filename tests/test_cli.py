@@ -8,8 +8,17 @@ from pathlib import Path
 import pytest
 
 import treegray.cli
-from treegray import Delta, apply_delta, export_dot, parse_tree
-from treegray.cli import main
+from treegray import (
+    Delta,
+    OrderedTree,
+    apply_delta,
+    catalan,
+    encode_parens,
+    export_dot,
+    gray_code,
+    parse_tree,
+)
+from treegray.cli import _gen_lines, main
 
 
 def run(capsys, *argv):
@@ -58,6 +67,47 @@ def test_gen_limit(capsys):
     assert out.splitlines() == ["1,2,2,2,2,2", "1,2,2,2,2,3", "1,2,2,2,3,3"]
     code, out, _ = run(capsys, "gen", "--n", "6", "--limit", "0")
     assert code == 0 and out == ""
+
+
+def test_gen_limit_cuts_at_every_record(capsys):
+    # n=6 has 42 records in 14 blocks, so the cut falls inside every block
+    # and at every block edge.
+    _, full, _ = run(capsys, "gen", "--n", "6")
+    lines = full.splitlines(keepends=True)
+    assert len(lines) == 42
+    for k in range(43):
+        code, out, _ = run(capsys, "gen", "--n", "6", "--limit", str(k))
+        assert code == 0
+        assert out == "".join(lines[:k]), k
+
+
+@pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("fmt", ["levels", "parens", "delta"])
+def test_block_rendering_matches_each_record(fmt, checked):
+    # gen renders each block once from its parent; every line must still
+    # equal the text of its own record.
+    render = encode_parens if fmt == "parens" else str
+    for n in range(1, 12):
+        records = gray_code(n, checked=checked, moves=fmt == "delta")
+        assert list(_gen_lines(n, fmt, checked)) == list(map(render, records)), n
+
+
+@pytest.mark.parametrize("fmt", ["levels", "parens"])
+def test_unchecked_gen_builds_no_tree_per_record(monkeypatch, fmt):
+    # Only the levels below the top build trees, one per tree of sizes
+    # 2..n-1; the records of size n are rendered from their parents.
+    calls = [0]
+    real = OrderedTree.child
+
+    def child(self, i):
+        calls[0] += 1
+        return real(self, i)
+
+    monkeypatch.setattr(OrderedTree, "child", child)
+    for n in range(2, 11):
+        calls[0] = 0
+        assert sum(1 for _ in _gen_lines(n, fmt, False)) == catalan(n - 1)
+        assert calls[0] == sum(catalan(k - 1) for k in range(2, n)), n
 
 
 def test_gen_output_file(tmp_path, capsys):

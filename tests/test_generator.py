@@ -22,6 +22,7 @@ from treegray import (
     gray_code,
     is_adjacent,
 )
+from treegray.generator import gray_blocks
 
 
 T = lambda *levels: OrderedTree(levels)
@@ -131,6 +132,34 @@ def test_generator_derives_moves_without_a_search(monkeypatch):
     monkeypatch.setattr(treegray.relations, "_move", search)
     for (n, c, m), records in before.items():
         assert list(gray_code(n, checked=c, moves=m)) == records, (n, c, m)
+
+
+@pytest.mark.parametrize("moves", [False, True], ids=["trees", "moves"])
+@pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
+def test_blocks_flatten_to_the_gray_code(checked, moves):
+    # Each block is the children of one parent in code order.  The top level
+    # builds a block's first child, and derives the move into it, exactly
+    # where it proves the boundary: every block but the first, when checked
+    # or for a move stream.
+    proven = checked or moves
+    for n in range(2, 10):
+        flat = []
+        for parent, order, first, move in gray_blocks(n, checked=checked, moves=moves):
+            children = [parent.child(i) for i in order]
+            if flat and proven:
+                assert first == children[0]
+                assert apply_delta(flat[-1], move) == first
+                assert move == delta(flat[-1], first)
+            else:
+                assert first is None and move is None
+            flat += children
+        assert flat == list(gray_code(n, checked=checked)), n
+
+
+@pytest.mark.parametrize("bad", [1, 0, 2.0, True, "3"])
+def test_gray_blocks_rejects_bad_n(bad):
+    with pytest.raises(ValueError):
+        gray_blocks(bad)
 
 
 def test_deep_prefix_has_no_recursion_limit():

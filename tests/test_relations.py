@@ -18,7 +18,7 @@ from treegray import (
     is_adjacent,
     is_copying,
 )
-from treegray.relations import _sibling_move
+from treegray.relations import _sibling_move, _sibling_move_lines, _sibling_move_table
 
 
 T = lambda *levels: OrderedTree(levels)
@@ -335,6 +335,66 @@ def test_sibling_move_matches_delta():
                         assert _sibling_move(p.levels, b.levels[-1]) == delta(a, b)
                         pairs += 1
     assert pairs == 1608
+
+
+def _sibling_move_dumb(parent, level):
+    # The trailing run of `level` in parent + (level,), walked entry by entry.
+    q = len(parent)
+    while parent[q - 1] == level:
+        q -= 1
+    return Delta(len(parent) + 1, q + 1, level)
+
+
+@st.composite
+def _long_run_parents(draw):
+    # A star, or a star hung below the root's one child, of size 3..300,
+    # perhaps with one entry moved one level within two places of a multiple
+    # of 64 from the end, where _sibling_move's 64-entry comparisons meet;
+    # and the level of a new last leaf.
+    n = draw(st.integers(min_value=3, max_value=300))
+    base = draw(st.sampled_from((2, 3)))
+    levels = [1, 2] + [base] * (n - 2)
+    if draw(st.booleans()):
+        back = 64 * draw(st.integers(0, 4)) + draw(st.integers(-2, 2))
+        at = min(max(2, n - 1 - back), n - 1)
+        levels[at] += draw(st.sampled_from((-1, 1)))
+        assume(_valid(levels))
+    level = draw(st.sampled_from((base, levels[-1], 2, levels[-1] + 1)))
+    return tuple(levels), level
+
+
+@given(_long_run_parents())
+@settings(max_examples=300)
+def test_sibling_move_matches_the_walk_across_chunk_boundaries(drawn):
+    parent, level = drawn
+    assert _sibling_move(parent, level) == _sibling_move_dumb(parent, level)
+    other = 2 if level != 2 else parent[-1] + 1
+    if other != level:
+        a, b = OrderedTree(parent + (other,)), OrderedTree(parent + (level,))
+        assert _sibling_move(parent, level) == delta(a, b)
+
+
+@pytest.mark.parametrize(
+    "parent,want",
+    [((1,) + (2,) * 64, (66, 2, 2)), ((1, 2) + (3,) * 64, (67, 3, 3))],
+    ids=["run-to-the-root", "run-of-one-chunk"],
+)
+def test_sibling_move_stops_at_a_chunk_edge(parent, want):
+    # The trailing run is exactly one 64-entry comparison long and ends at
+    # the root, or at the broom's lone 2 just before it.
+    level = parent[-1]
+    assert _sibling_move_dumb(parent, level) == want
+    assert _sibling_move(parent, level) == want
+
+
+def test_sibling_move_lines_match_str_of_sibling_moves():
+    # The table holds the moves whose new leaf ends its trailing run alone.
+    for n in range(2, 9):
+        table = _sibling_move_table(n)
+        for p in enumerate_all(n - 1):
+            order = range(1, p.rpl + 2)
+            want = [str(_sibling_move(p.levels, i + 1)) for i in order]
+            assert _sibling_move_lines(p.levels, order, table) == want
 
 
 def test_delta_not_adjacent_raises():

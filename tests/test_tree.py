@@ -1,4 +1,5 @@
 """Level-sequence encoding: construction, navigation, text formats."""
+import itertools
 import os
 import subprocess
 import sys
@@ -16,7 +17,8 @@ from treegray import (
     gray_code,
     parse_tree,
 )
-from treegray.tree import level_lines
+from treegray.cli import _gen_lines
+from treegray.tree import child_lines, child_parens
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -26,8 +28,11 @@ def joined(tree):
     return ",".join(map(str, tree.levels))
 
 
-def assert_lines_match(trees):
-    assert list(level_lines(trees)) == [str(t) for t in trees] == list(map(joined, trees))
+def assert_lines_match(parent, order):
+    # One block: the children of parent in the given child-index order.
+    trees = [parent.child(i) for i in order]
+    lines = child_lines(parent.levels, order)
+    assert lines == [str(t) for t in trees] == list(map(joined, trees))
 
 
 def test_single_vertex():
@@ -231,40 +236,63 @@ def test_str_matches_joined_entries(t):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_level_lines_match_str_on_the_gray_code(n):
-    assert_lines_match(list(gray_code(n, checked=False)))
+    # gen renders every block from its parent's text once.
+    trees = list(gray_code(n, checked=False))
+    assert list(_gen_lines(n, "levels", False)) == [str(t) for t in trees]
+    assert [str(t) for t in trees] == list(map(joined, trees))
 
 
 @given(st.lists(deep_level_sequences(), min_size=1, max_size=8))
 def test_level_lines_match_str_on_drawn_trees(drawn):
-    # Each drawn tree followed by all its siblings: runs that share a head,
-    # separated by heads of other lengths and values.
-    trees = []
+    # Each drawn tree's block of siblings, in index order and reversed:
+    # blocks of heads of other lengths and values, one after another.
     for t in drawn:
-        trees.append(t)
         if t.size > 1:
-            trees.extend(t.parent().children())
-    assert_lines_match(trees)
+            parent = t.parent()
+            order = range(1, parent.rpl + 2)
+            assert_lines_match(parent, order)
+            assert_lines_match(parent, order[::-1])
 
 
 def test_level_lines_render_the_head_again_for_non_siblings():
+    # Reverse lexicographic order lists each parent's children in a row, so
+    # cutting it at each change of parent gives blocks of differing heads.
     trees = list(enumerate_all(7))[::-1]
-    heads = {t.levels[:-1] for t in trees}
-    assert len(heads) > 1
-    assert_lines_match(trees)
+    lines = []
+    for head, block in itertools.groupby(trees, key=lambda t: t.levels[:-1]):
+        lines += child_lines(head, [t.levels[-1] - 1 for t in block])
+    assert len({t.levels[:-1] for t in trees}) > 1
+    assert lines == [str(t) for t in trees] == list(map(joined, trees))
+
+
+@given(deep_level_sequences())
+def test_parens_suffix_rule_on_drawn_trees(t):
+    # Every child of a drawn tree, each from the tree's own encoding.
+    order = list(range(1, t.rpl + 2))
+    parens = child_parens(encode_parens(t), t.levels[-1], order)
+    assert parens == [encode_parens(t.child(i)) for i in order]
+    assert [decode_parens(p) for p in parens] == t.children()
 
 
 def test_level_lines_memory_stays_linear_in_n():
     # A fresh interpreter, so that no earlier test has rendered this size.
-    # A template per length up to n=2000 would hold about 6 MB; rendering a
-    # 1,000-record prefix needs one head of about 4 kB and one template.
+    # A template per length up to n=2000 would hold about 6 MB; rendering the
+    # blocks of a 1,000-record prefix needs one head of about 4 kB at a time
+    # and one template.
     code = """
-import itertools, tracemalloc
-from treegray import gray_code
-from treegray.tree import level_lines
-records = list(itertools.islice(gray_code(2000, checked=False), 1000))
+import tracemalloc
+from treegray.generator import gray_blocks
+from treegray.tree import child_lines
+blocks, records = [], 0
+for parent, order, _, _ in gray_blocks(2000, checked=False):
+    blocks.append((parent.levels, order))
+    records += len(order)
+    if records >= 1000:
+        break
 tracemalloc.start()
-for _ in level_lines(records):
-    pass
+for head, order in blocks:
+    for _ in child_lines(head, order):
+        pass
 print(tracemalloc.get_traced_memory()[1])
 """
     proc = subprocess.run(
