@@ -6,8 +6,7 @@ runs.  Each mutant is applied to its own temporary copy of the repository,
 where `python -m pytest -x -q` runs the tier-1 suite.  A mutant is killed
 when that run fails (or times out) and survives when it passes.
 
-    python3 scripts/mutants.py              # every mutant
-    python3 scripts/mutants.py NAME ...     # only these
+    python3 scripts/mutants.py
 
 One line per mutant, then a summary; the exit status is 1 if any mutant
 survives or any old text does not match exactly once, else 0.  A killed
@@ -125,8 +124,8 @@ MUTANTS = [
     Mutant(
         "delta-table-for-the-repeated-level",
         "src/treegray/relations.py",
-        "table[i] if i != same else str(_sibling_move(parent, i + 1))",
-        "table[i]",
+        "texts[i] if i != same else str(_sibling_move(parent, i + 1))",
+        "texts[i]",
     ),
     Mutant(
         "sibling-move-chunk-overshoots",
@@ -181,24 +180,22 @@ def _run(mutant: Mutant) -> tuple[bool, str]:
     return proc.returncode != 0, last
 
 
-def main(argv: list[str]) -> int:
-    mutants = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    errors = _check(mutants) + [f"no mutant named {name}" for name in sorted(unknown)]
+def main() -> int:
+    errors = _check(MUTANTS)
     if errors:
         print("\n".join(errors), file=sys.stderr)
         return 1
     survivors = []
-    for m in mutants:
+    for m in MUTANTS:
         start = time.perf_counter()
         killed, how = _run(m)
         seconds = time.perf_counter() - start
         print(f"{'killed  ' if killed else 'SURVIVED'} {m.name} ({seconds:.0f} s): {how}", flush=True)
         if not killed:
             survivors.append(m.name)
-    print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

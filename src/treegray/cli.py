@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 verification, generation or write failure, 2 usage erro
 Arguments are checked before any output is written, so a ValueError raised
 while gen or dot is writing is a generation failure, not a usage error.
 
-gen renders its records block by block from generator.gray_blocks: each
+gen renders its records block by block from generator._blocks: each
 block's parent is rendered once, by the text functions of treegray.tree for
 the levels and parens formats, and each record adds a short suffix; in the
 delta format each sibling move comes from relations._sibling_move_lines.
@@ -21,9 +21,9 @@ import sys
 import time
 from typing import Callable, Iterator, Optional
 
-from .generator import Block, StreamStats, export_dot, gray_blocks, gray_code
+from .generator import Block, StreamStats, _blocks, export_dot, gray_code
 from .oracle import catalan, verify
-from .relations import _sibling_move_lines, _sibling_move_table
+from .relations import _sibling_move_lines
 # bench/tracer.py wraps cli.delta by name, so it stays bound.
 from .relations import delta  # noqa: F401
 from .tree import child_lines, child_parens, encode_parens
@@ -84,9 +84,9 @@ def _fail(exc: Exception) -> int:
 def _gen_lines(n: int, fmt: str, checked: bool) -> Iterator[str]:
     if n == 1:  # the one tree of size 1 has no parent, so it is no block
         return map(encode_parens if fmt == "parens" else str, gray_code(1))
-    blocks = gray_blocks(n, checked=checked, moves=fmt == "delta")
+    blocks = _blocks(n, checked, fmt == "delta", None)
     if fmt == "delta":
-        return _delta_lines(n, blocks)
+        return _delta_lines(blocks)
     if fmt == "levels":
         lines = (child_lines(p.levels, order) for p, order, _, _ in blocks)
     else:
@@ -97,13 +97,12 @@ def _gen_lines(n: int, fmt: str, checked: bool) -> Iterator[str]:
     return itertools.chain.from_iterable(lines)
 
 
-def _delta_lines(n: int, blocks: Iterator[Block]) -> Iterator[str]:
+def _delta_lines(blocks: Iterator[Block]) -> Iterator[str]:
     # The first tree in levels form, then each block's boundary move and the
     # moves between its siblings.
-    table = _sibling_move_table(n)
     for parent, order, _, move in blocks:
         yield str(parent.child(order[0])) if move is None else str(move)
-        yield from _sibling_move_lines(parent.levels, order[1:], table)
+        yield from _sibling_move_lines(parent.levels, order[1:])
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -15,7 +15,7 @@ move to its lookahead and derives each boundary's move from the one below
 (docs/boundary-moves.md), so no move is searched for; a proven level
 replays it from the used-up block's last child as the level above holds it,
 and only the top level builds that child again.  The top level hands out
-blocks (gray_blocks): a parent, its child order and, where the boundary is
+blocks (_blocks): a parent, its child order and, where the boundary is
 proven, the first child and the move into it; it builds no other tree of
 size n.  gray_code flattens them into trees, or with moves=True into the
 first tree followed by each step's canonical relations.Delta, read off the
@@ -200,13 +200,25 @@ def _advance(
 
 
 # (parent, child-index order, first child if built, move into it): see
-# gray_blocks.
+# _blocks.
 Block = tuple[OrderedTree, tuple[int, ...], Optional[OrderedTree], Optional[Delta]]
 
 
 def _blocks(
     n: int, checked: bool, moves: bool, stats: Optional[StreamStats]
 ) -> Iterator[Block]:
+    """Yield gray_code(n) one block at a time, building no tree per record.
+
+    A block is all the children of one tree of size n-1, in the order the
+    code lists them: (parent, order, first, move), where the records are
+    parent.child(i) for each child index i in order.  `first` is the first
+    of them if the top level built it to prove the boundary into it, else
+    None; `move` is the canonical Delta into it from the last record of the
+    block before, derived when checked or with moves=True and None
+    otherwise (and always for the first block).  Every boundary is proven
+    as gray_code proves it, before its block is yielded.  n must be at
+    least 2: the one tree of size 1 has no parent.
+    """
     # Levels from `proven` up prove each block boundary: all of them when
     # checked, else only the top of a move stream, which yields the moves.
     proven = 2 if checked else n if moves else n + 1
@@ -261,24 +273,6 @@ def _records(
                     stats.vertex_writes += n
                     stats.emitted[n] += 1
                 yield t
-
-
-def gray_blocks(n: int, *, checked: bool = True, moves: bool = False) -> Iterator[Block]:
-    """Yield gray_code(n) one block at a time, building no tree per record.
-
-    A block is all the children of one tree of size n-1, in the order the
-    code lists them: (parent, order, first, move), where the records are
-    parent.child(i) for each child index i in order.  `first` is the first
-    of them if the top level built it to prove the boundary into it, else
-    None; `move` is the canonical Delta into it from the last record of the
-    block before, derived when checked or with moves=True and None
-    otherwise (and always for the first block).  Every boundary is proven
-    as gray_code proves it, before its block is yielded.  n must be at
-    least 2: the one tree of size 1 has no parent.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    return _blocks(n, checked, moves, None)
 
 
 def gray_code(

@@ -12,7 +12,7 @@ by appending a new rightmost leaf, then deleting some other leaf.
 """
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterable, NamedTuple, Optional
 
 from .tree import OrderedTree
@@ -150,21 +150,23 @@ def _sibling_move(parent: tuple[int, ...], level: int) -> Delta:
     return _new_delta((len(parent) + 1, q + 1, level))
 
 
-def _sibling_move_table(n: int) -> list[str]:
-    """str(_sibling_move(parent, i + 1)) at index i, for any parent of size
-    n - 1 whose last level is not i + 1: the trailing run of i + 1 in the
-    result is the new leaf alone, so the move is (n, n, i + 1)."""
-    return [f"{n} {n} {i + 1}" for i in range(n)]
+@lru_cache(maxsize=None)
+def _sibling_texts(n: int) -> tuple[str, ...]:
+    # At index i, (n, n, i + 1) as text: the move to a child of size n whose
+    # new leaf at level i + 1 does not repeat its parent's last level, so the
+    # trailing run of i + 1 is that leaf alone.
+    return tuple(f"{n} {n} {i + 1}" for i in range(n))
 
 
-def _sibling_move_lines(
-    parent: tuple[int, ...], order: Iterable[int], table: list[str]
-) -> list[str]:
-    """str(_sibling_move(parent, i + 1)) for each child index i in order,
-    with table = _sibling_move_table(len(parent) + 1).  Only the child whose
-    new leaf repeats parent's last level walks back over a trailing run."""
+def _sibling_move_lines(parent: tuple[int, ...], order: Iterable[int]) -> list[str]:
+    """str(_sibling_move(parent, i + 1)) for each child index i in order.
+
+    Only the child whose new leaf repeats parent's last level walks back
+    over a trailing run; every other move is read from a per-size table.
+    """
+    texts = _sibling_texts(len(parent) + 1)
     same = parent[-1] - 1
-    return [table[i] if i != same else str(_sibling_move(parent, i + 1)) for i in order]
+    return [texts[i] if i != same else str(_sibling_move(parent, i + 1)) for i in order]
 
 
 def is_adjacent(t: OrderedTree, u: OrderedTree) -> bool:

@@ -18,7 +18,7 @@ from treegray import (
     is_adjacent,
     is_copying,
 )
-from treegray.relations import _sibling_move, _sibling_move_lines, _sibling_move_table
+from treegray.relations import _sibling_move, _sibling_move_lines
 
 
 T = lambda *levels: OrderedTree(levels)
@@ -390,11 +390,10 @@ def test_sibling_move_stops_at_a_chunk_edge(parent, want):
 def test_sibling_move_lines_match_str_of_sibling_moves():
     # The table holds the moves whose new leaf ends its trailing run alone.
     for n in range(2, 9):
-        table = _sibling_move_table(n)
         for p in enumerate_all(n - 1):
             order = range(1, p.rpl + 2)
             want = [str(_sibling_move(p.levels, i + 1)) for i in order]
-            assert _sibling_move_lines(p.levels, order, table) == want
+            assert _sibling_move_lines(p.levels, order) == want
 
 
 def test_delta_not_adjacent_raises():

@@ -281,10 +281,10 @@ def test_level_lines_memory_stays_linear_in_n():
     # and one template.
     code = """
 import tracemalloc
-from treegray.generator import gray_blocks
+from treegray.generator import _blocks
 from treegray.tree import child_lines
 blocks, records = [], 0
-for parent, order, _, _ in gray_blocks(2000, checked=False):
+for parent, order, _, _ in _blocks(2000, False, False, None):
     blocks.append((parent.levels, order))
     records += len(order)
     if records >= 1000:
