@@ -85,6 +85,12 @@ MUTANTS = [
         "last = levels[j].nxt",
     ),
     Mutant(
+        "top-proof-replays-onto-itself",
+        "src/treegray/generator.py",
+        "first = t.levels if j < top else cur.levels + (order[0] + 1,)",
+        "first = t.levels if j < top else _replay(last, m)",
+    ),
+    Mutant(
         "order-cache-keyed-without-right",
         "src/treegray/ordering.py",
         _ORDER_DEF,

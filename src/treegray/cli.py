@@ -88,11 +88,11 @@ def _gen_lines(n: int, fmt: str, checked: bool) -> Iterator[str]:
     if fmt == "delta":
         return _delta_lines(blocks)
     if fmt == "levels":
-        lines = (child_lines(p.levels, order) for p, order, _, _ in blocks)
+        lines = (child_lines(p.levels, order) for p, order, _ in blocks)
     else:
         lines = (
             child_parens(encode_parens(p), p.levels[-1], order)
-            for p, order, _, _ in blocks
+            for p, order, _ in blocks
         )
     return itertools.chain.from_iterable(lines)
 
@@ -100,7 +100,7 @@ def _gen_lines(n: int, fmt: str, checked: bool) -> Iterator[str]:
 def _delta_lines(blocks: Iterator[Block]) -> Iterator[str]:
     # The first tree in levels form, then each block's boundary move and the
     # moves between its siblings.
-    for parent, order, _, move in blocks:
+    for parent, order, move in blocks:
         yield str(parent.child(order[0])) if move is None else str(move)
         yield from _sibling_move_lines(parent.levels, order[1:])
 

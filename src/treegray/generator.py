@@ -13,13 +13,13 @@ retained, so the whole stack holds O(n) trees no matter how many it emits.
 Siblings in a block are adjacent by construction.  Each level carries the
 move to its lookahead and derives each boundary's move from the one below
 (docs/boundary-moves.md), so no move is searched for; a proven level
-replays it from the used-up block's last child as the level above holds it,
-and only the top level builds that child again.  The top level hands out
-blocks (_blocks): a parent, its child order and, where the boundary is
-proven, the first child and the move into it; it builds no other tree of
-size n.  gray_code flattens them into trees, or with moves=True into the
-first tree followed by each step's canonical relations.Delta, read off the
-child index for a sibling step; the CLI renders them as text.
+replays it on level tuples, from the used-up block's last child to the new
+block's first.  The top level hands out blocks (_blocks): a parent, its
+child order and, where the boundary is proven, the move into the first
+child; it builds no tree of size n.  gray_code flattens them into trees, or
+with moves=True into the first tree followed by each step's canonical
+relations.Delta, read off the child index for a sibling step; the CLI
+renders them as text.
 
 The per-level streams are the family tree, in which a tree's parent is
 itself minus its rightmost leaf: level k+1 read in order is the
@@ -40,7 +40,7 @@ from .ordering import (
     plan_last,
     plan_step,
 )
-from .relations import Delta, _new_delta, _sibling_move, apply_delta
+from .relations import Delta, _new_delta, _replay, _sibling_move
 from .relations import is_adjacent  # noqa: F401  (bench/tracer.py wraps it)
 from .tree import OrderedTree, child_parens, encode_parens
 
@@ -48,13 +48,9 @@ from .tree import OrderedTree, child_parens, encode_parens
 class StreamStats:
     """Instrumentation collected during one generation run.
 
-    vertex_writes counts every level-sequence entry written while
-    materializing trees (a size-k tree costs k writes), including the last
-    child the top level rebuilds at each proven block boundary (the levels
-    below replay from the child they already hold); under moves=True only
-    the boundary trees are built at level n, so only they count there.
-    Level n's first child in each block is built by the walk only where it
-    proves the boundary into it; gray_code builds and counts the rest.
+    vertex_writes counts every level-sequence entry of every tree the stream
+    materializes, each written once (a size-k tree costs k writes), checked
+    or not; under moves=True level n materializes only its first tree.
     emitted counts records produced per level: trees, and at level n under
     moves=True every record, moves included.  case_counts tallies every step
     label, including forbidden ones, before any error is raised.
@@ -113,8 +109,8 @@ def _boundary_move(b: Delta, p: tuple[int, ...], ell: int, nu: int) -> Delta:
 
 def _advance(
     levels: list[_Level], k: int, proven: int, stats: Optional[StreamStats]
-) -> tuple[Optional[OrderedTree], Optional[Delta]]:
-    """Start level k's next block; return its first child and the move to it.
+) -> Optional[Delta]:
+    """Start level k's next block and return the move into its first child.
 
     nxt's successor in level k-1 comes from the highest level below whose
     block still has a child, or None if the level below that has run out.
@@ -123,11 +119,11 @@ def _advance(
     any level is proven, derives the move into it; at or above `proven` it
     replays that move to prove it.  Else the move is None.
 
-    The replay starts from the used-up block's last child itself: every tree
-    level j emits goes up as level j + 1's lookahead, so below the top that
-    child is still levels[j + 1].nxt.  Only the top level, whose trees leave
-    the stack, builds it again, and it builds its new first child only to
-    prove the move into it; else that child is None.
+    A boundary is proven on level tuples, from the used-up block's last
+    child to the new first child.  Below the top both are trees the stack
+    holds: the last child went up as levels[j + 1].nxt, and the first is
+    built to go up next.  The top level, whose trees leave the stack, builds
+    no tree: each end is its parent's levels plus one entry.
     """
     top = len(levels) - 1
     derive = proven <= top  # checked, or a move stream
@@ -156,11 +152,9 @@ def _advance(
             if j >= proven:
                 # The used-up block's last child, and where that block stood.
                 if j < top:
-                    last = levels[j + 1].nxt
+                    last = levels[j + 1].nxt.levels
                 else:
-                    last = lv.cur.child(lv.order[-1])
-                    if stats is not None:
-                        stats.vertex_writes += j
+                    last = lv.cur.levels + (lv.order[-1] + 1,)
                 last_case, last_index = lv.case, lv.index
         lv.cur = cur = lv.nxt
         lv.nxt, lv.b, b = t, b, m  # m goes up as the next level's b
@@ -181,40 +175,41 @@ def _advance(
         lv.pos = 1
         if stats is not None:
             stats.emitted[j] += 1
-        if last is None and j == top:
-            return None, b  # the top's first child goes up to no level
-        t = cur.child(order[0])
-        if stats is not None:
-            stats.vertex_writes += j
+        if j < top:
+            t = cur.child(order[0])
+            if stats is not None:
+                stats.vertex_writes += j
         if last is not None:
+            first = t.levels if j < top else cur.levels + (order[0] + 1,)
             try:
-                proof = apply_delta(last, m).levels == t.levels
+                proof = _replay(last, m) == first
             except ValueError:  # the move does not replay
                 proof = False
             if not proof:
                 raise AdjacencyViolationError(
                     f"adjacency violation in case {last_case} at level {j} "
-                    f"after position {last_index} of level {j - 1}: {last} vs {t}"
+                    f"after position {last_index} of level {j - 1}: "
+                    f"{OrderedTree._trusted(last)} vs {OrderedTree._trusted(first)}"
                 )
-    return t, b
+    if k < top:  # the stack is being built: t is level k + 1's first lookahead
+        levels[k + 1].nxt = t
+    return b
 
 
-# (parent, child-index order, first child if built, move into it): see
-# _blocks.
-Block = tuple[OrderedTree, tuple[int, ...], Optional[OrderedTree], Optional[Delta]]
+# (parent, child-index order, move into the first child): see _blocks.
+Block = tuple[OrderedTree, tuple[int, ...], Optional[Delta]]
 
 
 def _blocks(
     n: int, checked: bool, moves: bool, stats: Optional[StreamStats]
 ) -> Iterator[Block]:
-    """Yield gray_code(n) one block at a time, building no tree per record.
+    """Yield gray_code(n) one block at a time, building no tree of size n.
 
     A block is all the children of one tree of size n-1, in the order the
-    code lists them: (parent, order, first, move), where the records are
-    parent.child(i) for each child index i in order.  `first` is the first
-    of them if the top level built it to prove the boundary into it, else
-    None; `move` is the canonical Delta into it from the last record of the
-    block before, derived when checked or with moves=True and None
+    code lists them: (parent, order, move), where the records are
+    parent.child(i) for each child index i in order, and move is the
+    canonical Delta into the first of them from the last record of the block
+    before.  It is derived when checked or with moves=True and None
     otherwise (and always for the first block).  Every boundary is proven
     as gray_code proves it, before its block is yielded.  n must be at
     least 2: the one tree of size 1 has no parent.
@@ -222,7 +217,6 @@ def _blocks(
     # Levels from `proven` up prove each block boundary: all of them when
     # checked, else only the top of a move stream, which yields the moves.
     proven = 2 if checked else n if moves else n + 1
-    t = OrderedTree._trusted((1,))
     if stats is not None:
         stats.vertex_writes += 1
         stats.emitted[1] += 1
@@ -230,15 +224,15 @@ def _blocks(
     # the start; each higher level begins with the first tree of the level
     # below as its lookahead.
     levels = [_Level() for _ in range(n + 1)]
+    levels[2].nxt = OrderedTree._trusted((1,))
     for k in range(2, n + 1):
-        levels[k].nxt = t
-        t, m = _advance(levels, k, proven, stats)
+        m = _advance(levels, k, proven, stats)
     top = levels[n]
     while True:
-        yield top.cur, top.order, t, m
+        yield top.cur, top.order, m
         if top.nxt is None:
             return
-        t, m = _advance(levels, n, proven, stats)
+        m = _advance(levels, n, proven, stats)
 
 
 def _records(
@@ -250,15 +244,13 @@ def _records(
             stats.emitted[1] += 1
         yield OrderedTree._trusted((1,))
         return
-    for parent, order, t, m in _blocks(n, checked, moves, stats):
-        if m is not None and moves:
+    for parent, order, m in _blocks(n, checked, moves, stats):
+        if moves and m is not None:
             yield m
         else:  # a tree stream, or the first record of a move stream
-            if t is None:
-                t = parent.child(order[0])
-                if stats is not None:
-                    stats.vertex_writes += n
-            yield t
+            if stats is not None:
+                stats.vertex_writes += n
+            yield parent.child(order[0])
         if moves:
             # Sibling steps need no tree: the move is fixed by the index.
             head = parent.levels
@@ -334,7 +326,7 @@ def _dot(n: int) -> Iterator[str]:
         yield " }\n"
     for k in range(2, n + 1):
         # Each block is the children of one parent, encoded once per block.
-        for parent, order, _, _ in _blocks(k, False, False, None):
+        for parent, order, _ in _blocks(k, False, False, None):
             source = encode_parens(parent)
             for target in child_parens(source, parent.levels[-1], order):
                 yield f'  "{source}" -> "{target}";\n'

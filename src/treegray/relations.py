@@ -4,9 +4,10 @@ Two trees are adjacent when one can be turned into the other by removing a
 single leaf and appending a single leaf somewhere else, leaving every other
 vertex (and its level) untouched.  A Delta records one such move on the level
 sequence; _move reads it off the first and last differing positions in O(n)
-for delta and is_adjacent, which replays it with apply_delta instead of
-trusting the search.  _sibling_move gives it with no search when both trees
-are children of one tree; the generator derives every other move from it.
+for delta and is_adjacent, which replays it (_replay: apply_delta on a bare
+level tuple) instead of trusting the search.  _sibling_move gives it with no
+search when both trees are children of one tree; the generator derives every
+other move from it and proves it with the same replay.
 Copying, used by the ordering rules, is the restricted form: U arises from T
 by appending a new rightmost leaf, then deleting some other leaf.
 """
@@ -174,14 +175,14 @@ def is_adjacent(t: OrderedTree, u: OrderedTree) -> bool:
 
     Two children of one tree are adjacent exactly when they differ (see
     _sibling_move).  Any other pair counts only if the move _move finds
-    replays through apply_delta to u, so a wrong move gives False, not True.
+    replays (as apply_delta does) to u, so a wrong move gives False, not True.
     """
     tl, ul = t.levels, u.levels
     if tl[:-1] == ul[:-1]:
         return tl != ul
     m = _move(t, u)
     try:
-        return m is not None and apply_delta(t, m).levels == ul
+        return m is not None and _replay(tl, m) == ul
     except ValueError:  # the move does not replay
         return False
 
@@ -200,19 +201,17 @@ def delta(t: OrderedTree, u: OrderedTree) -> Delta:
     return m
 
 
-def apply_delta(t: OrderedTree, d: Delta) -> OrderedTree:
-    """Replay one move: drop the entry at remove_at, then insert insert_level
-    at insert_at of the shortened sequence.  Rejects moves that do not remove
-    a leaf, do not insert a leaf, or produce an invalid sequence.
-    """
-    levels = t.levels
+def _replay(levels: tuple[int, ...], d: Delta) -> tuple[int, ...]:
+    """apply_delta on a bare level tuple: the same checks and errors."""
     m = len(levels)
     r, p, v = d
     j, q = r - 1, p - 1
     if not 1 <= j < m:
-        raise ValueError(f"remove_at {r} out of range for {t}")
+        tree = OrderedTree._trusted(levels)
+        raise ValueError(f"remove_at {r} out of range for {tree}")
     if j != m - 1 and levels[j + 1] > levels[j]:
-        raise ValueError(f"entry {r} of {t} is not a leaf")
+        tree = OrderedTree._trusted(levels)
+        raise ValueError(f"entry {r} of {tree} is not a leaf")
     # One list edited in place: fewer tuples than slicing twice.
     short = list(levels)
     del short[j]
@@ -223,4 +222,12 @@ def apply_delta(t: OrderedTree, d: Delta) -> OrderedTree:
     if q < m - 1 and short[q] > v:
         raise ValueError(f"inserting level {v} at {p} would capture a subtree")
     short.insert(q, v)
-    return OrderedTree._trusted(tuple(short))
+    return tuple(short)
+
+
+def apply_delta(t: OrderedTree, d: Delta) -> OrderedTree:
+    """Replay one move: drop the entry at remove_at, then insert insert_level
+    at insert_at of the shortened sequence.  Rejects moves that do not remove
+    a leaf, do not insert a leaf, or produce an invalid sequence.
+    """
+    return OrderedTree._trusted(_replay(t.levels, d))

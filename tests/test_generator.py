@@ -2,6 +2,7 @@
 and its streamed DOT export."""
 import itertools
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -138,22 +139,42 @@ def test_generator_derives_moves_without_a_search(monkeypatch):
 @pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
 def test_blocks_flatten_to_the_gray_code(checked, moves):
     # Each block is the children of one parent in code order.  The top level
-    # builds a block's first child, and derives the move into it, exactly
-    # where it proves the boundary: every block but the first, when checked
-    # or for a move stream.
+    # derives the move into a block's first child exactly where it proves the
+    # boundary: every block but the first, when checked or for a move stream.
     proven = checked or moves
     for n in range(2, 10):
         flat = []
-        for parent, order, first, move in _blocks(n, checked, moves, None):
+        for parent, order, move in _blocks(n, checked, moves, None):
             children = [parent.child(i) for i in order]
             if flat and proven:
-                assert first == children[0]
-                assert apply_delta(flat[-1], move) == first
-                assert move == delta(flat[-1], first)
+                assert apply_delta(flat[-1], move) == children[0]
+                assert move == delta(flat[-1], children[0])
             else:
-                assert first is None and move is None
+                assert move is None
             flat += children
         assert flat == list(gray_code(n, checked=checked)), n
+
+
+@pytest.mark.parametrize("moves", [False, True], ids=["trees", "moves"])
+@pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
+def test_walk_builds_no_tree_of_size_n(monkeypatch, checked, moves):
+    # The top level proves its boundaries on level tuples, so the walk that
+    # hands out the blocks builds no tree of the size it hands out.
+    real = OrderedTree.child
+    sizes = Counter()
+
+    def child(self, i):
+        t = real(self, i)
+        sizes[t.size] += 1
+        return t
+
+    monkeypatch.setattr(OrderedTree, "child", child)
+    for n in range(2, 11):
+        sizes.clear()
+        for _ in _blocks(n, checked, moves, None):
+            pass
+        assert sizes[n] == 0, n
+        assert sum(sizes.values()) == sum(catalan(k - 1) for k in range(2, n)), n
 
 
 def test_deep_prefix_has_no_recursion_limit():
@@ -223,25 +244,16 @@ def test_stats_counters():
 
 
 def test_stats_vertex_writes_unchecked_is_one_tree_each():
-    # Without boundary checks every tree across the stack is written once.
-    stats = StreamStats()
-    for _ in gray_code(8, checked=False, stats=stats):
-        pass
-    assert stats.vertex_writes == sum(k * catalan(k - 1) for k in range(1, 9))
-    checked = StreamStats()
-    for _ in gray_code(8, stats=checked):
-        pass
-    assert checked.vertex_writes > stats.vertex_writes
-    # A checked run also rebuilds, at each of level n's catalan(n - 2) - 1
-    # block boundaries, the used-up block's last child.  The levels below
-    # replay from the last child the level above holds, so they build none.
-    for n, want in ((6, 429), (8, 5755), (10, 80487)):
-        checked = StreamStats()
-        for _ in gray_code(n, stats=checked):
-            pass
+    # Every tree across the stack is written once, checked or not: the
+    # boundary proofs replay level tuples the stack already holds or, at the
+    # top, tuples built from the parents.
+    for n, want in ((6, 351), (8, 4707), (10, 66197)):
         trees = sum(k * catalan(k - 1) for k in range(1, n + 1))
-        proofs = n * (catalan(n - 2) - 1)
-        assert checked.vertex_writes == trees + proofs == want, n
+        for checked in (False, True):
+            stats = StreamStats()
+            for _ in gray_code(n, checked=checked, stats=stats):
+                pass
+            assert stats.vertex_writes == trees == want, (n, checked)
 
 
 @pytest.mark.parametrize("moves", [False, True], ids=["trees", "moves"])
@@ -274,10 +286,10 @@ def test_stats_under_moves_count_records_and_boundary_trees():
         pass
     assert moves.emitted == trees.emitted
     assert moves.case_counts == trees.case_counts
-    # Level 8 builds only its first tree and, at each of its catalan(6) - 1
-    # block boundaries, the block's last child and the next block's first.
+    # Level 8 builds only its first tree; its boundaries are proven on level
+    # tuples.
     below = sum(k * catalan(k - 1) for k in range(1, 8))
-    assert moves.vertex_writes == below + 8 * (1 + 2 * (catalan(6) - 1))
+    assert moves.vertex_writes == below + 8 == 1283
 
 
 def _drain(n, records, **kwargs):

@@ -284,7 +284,7 @@ import tracemalloc
 from treegray.generator import _blocks
 from treegray.tree import child_lines
 blocks, records = [], 0
-for parent, order, _, _ in _blocks(2000, False, False, None):
+for parent, order, _ in _blocks(2000, False, False, None):
     blocks.append((parent.levels, order))
     records += len(order)
     if records >= 1000:
