@@ -79,16 +79,22 @@ MUTANTS = [
     ),
     # The block-boundary walk.
     Mutant(
-        "replay-from-the-wrong-level",
+        "replay-from-the-wrong-child",
         "src/treegray/generator.py",
-        "last = levels[j + 1].nxt",
-        "last = levels[j].nxt",
+        "last = _child_levels(lv.cur.levels, lv.order[-1])",
+        "last = _child_levels(lv.cur.levels, lv.order[0])",
     ),
     Mutant(
-        "top-proof-replays-onto-itself",
+        "proof-replays-onto-itself",
         "src/treegray/generator.py",
-        "first = t.levels if j < top else cur.levels + (order[0] + 1,)",
-        "first = t.levels if j < top else _replay(last, m)",
+        "first = _child_levels(cur.levels, order[0])",
+        "first = _replay(last, m)",
+    ),
+    Mutant(
+        "proof-ends-skip-the-range-check",
+        "src/treegray/tree.py",
+        "    if not 1 <= i <= top:\n        raise",
+        "    if not 1 <= i <= top + 1:\n        raise",
     ),
     Mutant(
         "order-cache-keyed-without-right",

@@ -42,7 +42,7 @@ from .ordering import (
 )
 from .relations import Delta, _new_delta, _replay, _sibling_move
 from .relations import is_adjacent  # noqa: F401  (bench/tracer.py wraps it)
-from .tree import OrderedTree, child_parens, encode_parens
+from .tree import OrderedTree, _child_levels, child_parens, encode_parens
 
 
 class StreamStats:
@@ -50,7 +50,8 @@ class StreamStats:
 
     vertex_writes counts every level-sequence entry of every tree the stream
     materializes, each written once (a size-k tree costs k writes), checked
-    or not; under moves=True level n materializes only its first tree.
+    or not; under moves=True level n materializes only its first tree.  The
+    level tuples a boundary proof compares are not trees and not counted.
     emitted counts records produced per level: trees, and at level n under
     moves=True every record, moves included.  case_counts tallies every step
     label, including forbidden ones, before any error is raised.
@@ -117,13 +118,10 @@ def _advance(
     Every level passed over on the way down is used up too; on the way back
     up each starts its next block with the tree handed up from below and, if
     any level is proven, derives the move into it; at or above `proven` it
-    replays that move to prove it.  Else the move is None.
-
-    A boundary is proven on level tuples, from the used-up block's last
-    child to the new first child.  Below the top both are trees the stack
-    holds: the last child went up as levels[j + 1].nxt, and the first is
-    built to go up next.  The top level, whose trees leave the stack, builds
-    no tree: each end is its parent's levels plus one entry.
+    replays that move to prove it.  Else the move is None.  The proof runs on
+    level tuples: the used-up block's last child and the new first child are
+    each their parent's levels plus one entry, range-checked as by
+    OrderedTree.child, so the top level builds no tree.
     """
     top = len(levels) - 1
     derive = proven <= top  # checked, or a move stream
@@ -151,10 +149,7 @@ def _advance(
             m = _boundary_move(lv.b, lv.cur.levels, lv.order[-1], lv.lm)
             if j >= proven:
                 # The used-up block's last child, and where that block stood.
-                if j < top:
-                    last = levels[j + 1].nxt.levels
-                else:
-                    last = lv.cur.levels + (lv.order[-1] + 1,)
+                last = _child_levels(lv.cur.levels, lv.order[-1])
                 last_case, last_index = lv.case, lv.index
         lv.cur = cur = lv.nxt
         lv.nxt, lv.b, b = t, b, m  # m goes up as the next level's b
@@ -170,9 +165,7 @@ def _advance(
                 f"forbidden case {case} at level {j - 1}, position "
                 f"{lv.index}: {cur} -> {t}"
             )
-        lv.case = case
-        lv.order = order
-        lv.pos = 1
+        lv.case, lv.order, lv.pos = case, order, 1
         if stats is not None:
             stats.emitted[j] += 1
         if j < top:
@@ -180,7 +173,7 @@ def _advance(
             if stats is not None:
                 stats.vertex_writes += j
         if last is not None:
-            first = t.levels if j < top else cur.levels + (order[0] + 1,)
+            first = _child_levels(cur.levels, order[0])
             try:
                 proof = _replay(last, m) == first
             except ValueError:  # the move does not replay

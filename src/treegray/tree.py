@@ -124,6 +124,14 @@ _new = object.__new__
 _store_levels = OrderedTree.levels.__set__
 
 
+def _child_levels(levels: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """OrderedTree.child on a bare tuple (child inlines it, saving a call)."""
+    top = levels[-1]  # rpl + 1
+    if not 1 <= i <= top:
+        raise ValueError(f"child index {i} outside 1..{top} for {_text(levels)[:-1]}")
+    return levels + (i + 1,)
+
+
 # "%d," * k for each length k rendered so far.  Keyed by the lengths in use,
 # not a table of every length up to n, which would hold O(n^2) characters.
 _TEMPLATES: dict[int, str] = {}

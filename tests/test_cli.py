@@ -384,8 +384,10 @@ def test_dot_above_cap_opens_no_output(tmp_path, capsys):
         ["gen", "--n", "8"],
         ["gen", "--n", "8", "--unchecked"],
         ["dot", "--n", "8"],
+        ["gen", "--n", "7", "--format", "delta"],
+        ["gen", "--n", "7", "--format", "delta", "--unchecked"],
     ],
-    ids=["verify", "gen", "gen-unchecked", "dot"],
+    ids=["verify", "gen", "gen-unchecked", "dot", "delta-top", "delta-top-unchecked"],
 )
 def test_generator_value_error_exits_1(broken_child_index, capsys, argv):
     # A ValueError out of a running generator is a generation failure, not a

@@ -219,6 +219,17 @@ def test_violation_is_caught_at_the_lowest_proven_level(broken_next_leftmost):
     assert str(exc.value) == top
 
 
+@pytest.mark.parametrize("moves", [False, True], ids=["trees", "moves"])
+@pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
+def test_bad_child_index_at_the_top_raises(broken_child_index, checked, moves):
+    # At n=7 the bad index 3 ends a block of the top level.  A tree stream
+    # meets it in OrderedTree.child; a move stream builds no tree there, so
+    # the boundary proof's two ends must check the index themselves.
+    with pytest.raises(ValueError) as exc:
+        list(gray_code(7, checked=checked, moves=moves))
+    assert str(exc.value) == "child index 3 outside 1..2 for 1,2,2,2,3,2"
+
+
 def test_delta_stream_rejects_small_n():
     with pytest.raises(ValueError):
         delta_stream(1)
