@@ -230,6 +230,42 @@ def test_bad_child_index_at_the_top_raises(broken_child_index, checked, moves):
     assert str(exc.value) == "child index 3 outside 1..2 for 1,2,2,2,3,2"
 
 
+_FAULT_MODES = [(True, False), (False, False), (True, True), (False, True)]
+
+
+@pytest.mark.parametrize(
+    "fixture, n, want",
+    [
+        ("broken_next_leftmost", 7, (10, 132, 10, 10)),
+        ("broken_next_leftmost", 8, (25, 429, 25, 28)),
+        ("broken_next_leftmost", 9, (73, 1430, 73, 84)),
+        ("broken_child_index", 7, (9, 9, 10, 10)),
+        ("broken_child_index", 8, (23, 23, 23, 23)),
+        ("broken_child_index", 9, (67, 67, 67, 67)),
+    ],
+)
+def test_faults_surface_at_the_record_the_walk_reaches_them(request, fixture, n, want):
+    # How many records gray_code yields before each fault, in four modes:
+    # checked trees, unchecked trees, checked moves, unchecked moves.  A
+    # count of catalan(n - 1) means the run ends without an error (an
+    # unchecked tree stream proves no boundary).  Blocks may be planned
+    # ahead of need, but a fault must surface where the level that meets it
+    # is first asked for a tree, which fixes the record.
+    request.getfixturevalue(fixture)
+    error = AdjacencyViolationError if fixture == "broken_next_leftmost" else ValueError
+    for (checked, moves), count in zip(_FAULT_MODES, want):
+        records = gray_code(n, checked=checked, moves=moves)
+        seen = 0
+        if count == catalan(n - 1):
+            seen = sum(1 for _ in records)
+        else:
+            with pytest.raises(error) as exc:
+                for _ in records:
+                    seen += 1
+            assert type(exc.value) is error
+        assert seen == count, (checked, moves)
+
+
 def test_delta_stream_rejects_small_n():
     with pytest.raises(ValueError):
         delta_stream(1)
