@@ -90,6 +90,19 @@ MUTANTS = [
         "first = _child_levels(cur.levels, order[0])",
         "first = _replay(last, m)",
     ),
+    # Rolling due levels ahead of need.
+    Mutant(
+        "roll-ahead-swallows-its-error",
+        "src/treegray/generator.py",
+        "lv.err, lv.nxt, lv.pos = exc, None, len(lv.order)",
+        "pass",
+    ),
+    Mutant(
+        "roll-ahead-rolls-two-levels",
+        "src/treegray/generator.py",
+        "        if due:\n            _roll_ahead(levels, proven, stats, due)\n",
+        "        for _ in range(2):\n            if due:\n                _roll_ahead(levels, proven, stats, due)\n",
+    ),
     Mutant(
         "proof-ends-skip-the-range-check",
         "src/treegray/tree.py",

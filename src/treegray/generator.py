@@ -5,10 +5,15 @@ Level k emits the trees of size k: it keeps the current tree of level k-1
 plus one tree of lookahead, orders the current tree's children by the step
 rules, and emits them left to right; when the lookahead runs out the final
 tree's children are ordered by decreasing rightmost-path length.  A level
-whose block is used up takes its next tree from the level below by index,
-walking down only as far as a level that still has a child to hand up, so
-no recursion limits n.  Only the current/lookahead pair of each level is
-retained, so the whole stack holds O(n) trees no matter how many it emits.
+below the top whose block is used up is due: it starts its next block with
+the next tree the level below hands up.  After each block of the top level
+one due level does so ahead of need, so past the first boundary the top
+always finds a child to hand up below it, and each block start plans at
+most two blocks.  A level asked for a tree while still due starts its block
+itself, walking down the stack in a loop, so the output never depends on
+the schedule and no recursion limits n.  Only the current/lookahead pair of
+each level is retained, so the whole stack holds O(n) trees no matter how
+many it emits.
 
 Siblings in a block are adjacent by construction.  Each level carries the
 move to its lookahead and derives each boundary's move from the one below
@@ -29,6 +34,7 @@ Graphviz text straight from those streams.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from collections import Counter
 from typing import Iterator, Optional, Union
 
@@ -54,7 +60,11 @@ class StreamStats:
     level tuples a boundary proof compares are not trees and not counted.
     emitted counts records produced per level: trees, and at level n under
     moves=True every record, moves included.  case_counts tallies every step
-    label, including forbidden ones, before any error is raised.
+    label, including forbidden ones, before any error is raised.  Levels
+    below the top start blocks ahead of need, so a run stopped early, by an
+    error or by its reader, may have tallied labels, trees and writes below
+    the top that only later records need; a run drawn to the end counts
+    each of them once.
     """
 
     # A plain class, not a dataclass: importing dataclasses also imports
@@ -78,24 +88,29 @@ class _Level:
     """The state of level k of the stack, which emits the trees of size k.
 
     Its current block is the children of cur (a tree of level k-1) in the
-    child-index order `order`, of which the first `pos` are emitted.  nxt is
+    child-index order `order`, of which the first `pos` are handed up.  nxt is
     the lookahead tree of level k-1, None once cur is that level's final tree,
     and lm is the leftmost child index fixed for nxt's block.  b is the move
-    from cur to nxt, if moves are derived.  index is cur's 0-based position
-    in level k-1 and case the step label that planned the block.
+    from cur to nxt, and m the move into the block's first child from the
+    last child of the block before, if moves are derived.  index is cur's
+    0-based position in level k-1 and case the step label that planned the
+    block.  err is what a roll ahead of need raised, kept for the level above
+    to meet when it next asks for a tree.
     """
 
-    __slots__ = ("cur", "nxt", "lm", "b", "order", "pos", "index", "case")
+    __slots__ = ("cur", "nxt", "lm", "b", "m", "order", "pos", "index", "case", "err")
 
     def __init__(self):
         self.cur: Optional[OrderedTree] = None
         self.nxt: Optional[OrderedTree] = None
         self.lm = 1
         self.b: Optional[Delta] = None
+        self.m: Optional[Delta] = None
         self.order: tuple[int, ...] = ()
         self.pos = 0
         self.index = -1
         self.case: Optional[Case] = None
+        self.err: Optional[Exception] = None
 
 
 def _boundary_move(b: Delta, p: tuple[int, ...], ell: int, nu: int) -> Delta:
@@ -109,39 +124,60 @@ def _boundary_move(b: Delta, p: tuple[int, ...], ell: int, nu: int) -> Delta:
 
 
 def _advance(
-    levels: list[_Level], k: int, proven: int, stats: Optional[StreamStats]
+    levels: list[_Level],
+    k: int,
+    proven: int,
+    stats: Optional[StreamStats],
+    due: list[int],
 ) -> Optional[Delta]:
     """Start level k's next block and return the move into its first child.
 
-    nxt's successor in level k-1 comes from the highest level below whose
-    block still has a child, or None if the level below that has run out.
-    Every level passed over on the way down is used up too; on the way back
-    up each starts its next block with the tree handed up from below and, if
-    any level is proven, derives the move into it; at or above `proven` it
-    replays that move to prove it.  Else the move is None.  The proof runs on
-    level tuples: the used-up block's last child and the new first child are
-    each their parent's levels plus one entry, range-checked as by
+    The new lookahead is the next child that level k-1 hands up, with the
+    move into it from the child it handed up before, if moves are derived.
+    If level k-1 is due, the walk goes down to the highest level below with
+    a child to hand up, or to one that has run out (then the lookahead is
+    None, or the error that level kept is raised); on the way back up each
+    due level starts its next block with the tree handed up from below and
+    hands up its first child.  If any level is proven, each derives the
+    move into its new first child; at or above `proven` it replays that
+    move to prove it.  Else the move is None.  The proof runs on level
+    tuples: the used-up block's last child and the new first child are each
+    their parent's levels plus one entry, range-checked as by
     OrderedTree.child, so the top level builds no tree.
+
+    `due` lists the due levels in increasing order.  A level whose hand-up
+    uses up its block, and that has a lookahead, joins it; a level the walk
+    goes past leaves it.  Only the top's walk goes past due levels, and
+    they are the highest ones, so each is the last entry.
     """
-    top = len(levels) - 1
-    derive = proven <= top  # checked, or a move stream
+    derive = proven < len(levels)  # checked, or a move stream
     j = k - 1
     below = levels[j]
     while below.pos == len(below.order):
-        if below.nxt is None:
-            t = b = None
+        if below.nxt is None:  # run out: no lookahead
+            if below.err is not None:
+                raise below.err
             break
+        due.pop()
         j -= 1
         below = levels[j]
-    else:
-        i = below.order[below.pos]
-        below.pos += 1
-        t = below.cur.child(i)
-        if stats is not None:
-            stats.vertex_writes += j
-            stats.emitted[j] += 1
-        b = _sibling_move(below.cur.levels, i + 1) if derive else None
-    while j < k:
+    while True:
+        pos = below.pos
+        if pos == len(below.order):
+            t = b = None
+        else:
+            i = below.order[pos]
+            t = below.cur.child(i)
+            if pos:
+                b = _sibling_move(below.cur.levels, i + 1) if derive else None
+            else:
+                b = below.m
+            below.pos = pos = pos + 1
+            if pos == len(below.order) and below.nxt is not None:
+                insort(due, j)
+            if stats is not None:
+                stats.vertex_writes += j
+                stats.emitted[j] += 1
         j += 1
         lv = levels[j]
         m = last = None
@@ -152,7 +188,7 @@ def _advance(
                 last = _child_levels(lv.cur.levels, lv.order[-1])
                 last_case, last_index = lv.case, lv.index
         lv.cur = cur = lv.nxt
-        lv.nxt, lv.b, b = t, b, m  # m goes up as the next level's b
+        lv.nxt, lv.b = t, b
         lv.index += 1
         if t is None:
             case, order = Case.LAST, plan_last(cur, lv.lm)
@@ -163,15 +199,10 @@ def _advance(
         if case in FORBIDDEN_CASES:
             raise ForbiddenCaseError(
                 f"forbidden case {case} at level {j - 1}, position "
-                f"{lv.index}: {cur} -> {t}"
+                f"{lv.index}: {cur} -> {t}",
+                level=j - 1, position=lv.index, case=case, trees=(cur, t),
             )
-        lv.case, lv.order, lv.pos = case, order, 1
-        if stats is not None:
-            stats.emitted[j] += 1
-        if j < top:
-            t = cur.child(order[0])
-            if stats is not None:
-                stats.vertex_writes += j
+        lv.case, lv.order, lv.pos, lv.m = case, order, 0, m
         if last is not None:
             first = _child_levels(cur.levels, order[0])
             try:
@@ -179,14 +210,39 @@ def _advance(
             except ValueError:  # the move does not replay
                 proof = False
             if not proof:
+                trees = OrderedTree._trusted(last), OrderedTree._trusted(first)
                 raise AdjacencyViolationError(
                     f"adjacency violation in case {last_case} at level {j} "
                     f"after position {last_index} of level {j - 1}: "
-                    f"{OrderedTree._trusted(last)} vs {OrderedTree._trusted(first)}"
+                    f"{trees[0]} vs {trees[1]}",
+                    level=j, position=last_index, case=last_case, trees=trees,
                 )
-    if k < top:  # the stack is being built: t is level k + 1's first lookahead
-        levels[k + 1].nxt = t
-    return b
+            # Freed before the first child goes up, which can then take
+            # their memory: the first boundary rolls every level of a deep
+            # stack, and the heap otherwise grows by one tree per level.
+            last = first = None
+        if j == k:
+            return m
+        below = lv  # due: its first child goes up next
+
+
+def _roll_ahead(
+    levels: list[_Level], proven: int, stats: Optional[StreamStats], due: list[int]
+) -> None:
+    """Start the next block of one due level before it is asked for a tree:
+    the highest due level whose level below is not due, so that one plan
+    does it.  What the roll raises is kept on the level, for the level above
+    to meet where a walk would have started that block."""
+    i = len(due) - 1
+    while i and due[i - 1] == due[i] - 1:
+        i -= 1
+    j = due.pop(i)
+    try:
+        _advance(levels, j, proven, stats, due)
+    except Exception as exc:
+        lv = levels[j]
+        # Used up with no lookahead: the next walk stops here and raises.
+        lv.err, lv.nxt, lv.pos = exc, None, len(lv.order)
 
 
 # (parent, child-index order, move into the first child): see _blocks.
@@ -206,6 +262,13 @@ def _blocks(
     otherwise (and always for the first block).  Every boundary is proven
     as gray_code proves it, before its block is yielded.  n must be at
     least 2: the one tree of size 1 has no parent.
+
+    A level below the top whose block is used up, and that has a lookahead,
+    is due: it must start its next block before it can hand up another
+    tree.  After each block of the top, one due level starts its next block
+    ahead of need (_roll_ahead), so past the first boundary the top finds
+    the level below it with a child to hand up, and each block costs at most
+    two plans: the top's and the one rolled ahead.
     """
     # Levels from `proven` up prove each block boundary: all of them when
     # checked, else only the top of a move stream, which yields the moves.
@@ -218,14 +281,24 @@ def _blocks(
     # below as its lookahead.
     levels = [_Level() for _ in range(n + 1)]
     levels[2].nxt = OrderedTree._trusted((1,))
+    due: list[int] = []
     for k in range(2, n + 1):
-        m = _advance(levels, k, proven, stats)
+        m = _advance(levels, k, proven, stats, due)
+        if k < n:  # level k's first child is level k + 1's first lookahead
+            lv = levels[k]
+            lv.pos = 1
+            levels[k + 1].nxt = lv.cur.child(lv.order[0])
+            if stats is not None:
+                stats.vertex_writes += k
+                stats.emitted[k] += 1
     top = levels[n]
     while True:
         yield top.cur, top.order, m
         if top.nxt is None:
             return
-        m = _advance(levels, n, proven, stats)
+        m = _advance(levels, n, proven, stats, due)
+        if due:
+            _roll_ahead(levels, proven, stats, due)
 
 
 def _records(
@@ -238,6 +311,8 @@ def _records(
         yield OrderedTree._trusted((1,))
         return
     for parent, order, m in _blocks(n, checked, moves, stats):
+        if stats is not None:
+            stats.emitted[n] += 1
         if moves and m is not None:
             yield m
         else:  # a tree stream, or the first record of a move stream

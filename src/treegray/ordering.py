@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .relations import has_pony_tail, is_copying
 from .tree import OrderedTree
@@ -71,12 +71,34 @@ class CaseExhaustionError(RuntimeError):
     """No branch condition held; the input pair violates the preconditions."""
 
 
-class ForbiddenCaseError(RuntimeError):
-    """A branch that must never occur was selected."""
+class _StepError(RuntimeError):
+    """A fault in one step of the code, with where it happened as attributes
+    (None when only the message is known): level, position and case as the
+    message names them, and trees, the pair of trees involved."""
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        level: Optional[int] = None,
+        position: Optional[int] = None,
+        case: Optional[Case] = None,
+        trees: Optional[tuple[OrderedTree, Optional[OrderedTree]]] = None,
+    ):
+        super().__init__(message)
+        self.level, self.position, self.case, self.trees = level, position, case, trees
 
 
-class AdjacencyViolationError(RuntimeError):
-    """A produced boundary pair failed the adjacency check."""
+class ForbiddenCaseError(_StepError):
+    """A branch that must never occur was selected: case, for trees (cur, nxt),
+    cur at 0-based position `position` of level `level`."""
+
+
+class AdjacencyViolationError(_StepError):
+    """A produced boundary pair failed the adjacency check: trees is (last
+    child of one block, first child of the next) at level `level`, and the
+    used-up block, planned by `case`, is the children of the tree at 0-based
+    position `position` of level `level` - 1."""
 
 
 def _descending(top: int, *skip: int) -> list[int]:

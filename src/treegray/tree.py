@@ -132,18 +132,21 @@ def _child_levels(levels: tuple[int, ...], i: int) -> tuple[int, ...]:
     return levels + (i + 1,)
 
 
-# "%d," * k for each length k rendered so far.  Keyed by the lengths in use,
-# not a table of every length up to n, which would hold O(n^2) characters.
-_TEMPLATES: dict[int, str] = {}
+# "v," at index v, for every level value v rendered so far: one short string
+# per value, where a "%d," * k template per length k would hold O(n^2)
+# characters.
+_ENTRIES: list[str] = ["0,"]
 
 
 def _text(levels: tuple[int, ...]) -> str:
-    """``levels`` as "e1,e2,...,ek," in one C-level % call ("" for ())."""
-    k = len(levels)
-    template = _TEMPLATES.get(k)
-    if template is None:
-        template = _TEMPLATES[k] = "%d," * k
-    return template % levels
+    """``levels`` as "e1,e2,...,ek," joined from the per-value strings
+    ("" for ()); levels are positive, so no index counts from the end."""
+    entries = _ENTRIES
+    try:
+        return "".join([entries[v] for v in levels])
+    except IndexError:  # a level above every one rendered so far
+        entries.extend(f"{v}," for v in range(len(entries), max(levels) + 1))
+        return "".join([entries[v] for v in levels])
 
 
 def child_lines(parent: tuple[int, ...], order: Iterable[int]) -> list[str]:

@@ -1,6 +1,7 @@
 import pytest
 
 import treegray.generator
+from treegray import Case
 
 
 @pytest.fixture
@@ -32,5 +33,20 @@ def broken_child_index(monkeypatch):
         if cur.levels == (1, 2, 2, 2, 3, 2):
             return case, order[:-1] + (3,), nl
         return case, order, nl
+
+    monkeypatch.setattr(treegray.generator, "plan_step", plan_step)
+
+
+@pytest.fixture
+def forbidden_case(monkeypatch):
+    """Make plan_step select the forbidden label 4b3 for level 6's tree 3,
+    1,2,2,2,3,2, so the block planned for it at level 7 raises
+    ForbiddenCaseError."""
+    real = treegray.generator.plan_step
+
+    def plan_step(cur, nxt, lm):
+        if cur.levels == (1, 2, 2, 2, 3, 2):
+            return Case.C4B3, (), 0
+        return real(cur, nxt, lm)
 
     monkeypatch.setattr(treegray.generator, "plan_step", plan_step)

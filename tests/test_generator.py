@@ -10,7 +10,9 @@ import treegray.generator
 import treegray.relations
 from treegray import (
     AdjacencyViolationError,
+    Case,
     Delta,
+    ForbiddenCaseError,
     OrderedTree,
     StreamStats,
     apply_delta,
@@ -181,6 +183,56 @@ def test_deep_prefix_has_no_recursion_limit():
     assert next(gray_code(5000, checked=False)).levels == (1,) + (2,) * 4999
 
 
+def _plans_per_block(monkeypatch, n, checked, moves, records=None):
+    # The plan_step and plan_last calls made while each block is drawn from
+    # _blocks, until at least `records` records are drawn (all if None).
+    plans = [0]
+
+    def counted(plan):
+        def wrapped(*args):
+            plans[0] += 1
+            return plan(*args)
+
+        return wrapped
+
+    for name in ("plan_step", "plan_last"):
+        monkeypatch.setattr(
+            treegray.generator, name, counted(getattr(treegray.generator, name))
+        )
+    per_block, drawn = [], 0
+    for _, order, _ in _blocks(n, checked, moves, None):
+        per_block.append(plans[0])
+        plans[0] = 0
+        drawn += len(order)
+        if records is not None and drawn >= records:
+            break
+    monkeypatch.undo()
+    return per_block
+
+
+@pytest.mark.parametrize(
+    "checked, moves",
+    [(True, False), (False, False), (True, True)],
+    ids=["checked-trees", "unchecked-trees", "moves"],
+)
+def test_each_block_start_plans_at_most_two_levels(monkeypatch, checked, moves):
+    # The first block builds the stack and the second starts the next block
+    # of every level at once; from then on the top plans its next block and
+    # at most one used-up level below it is rolled ahead, so no block start
+    # walks down the stack.  Every tree of sizes 1..n-1 is still planned
+    # once: rolling ahead moves plans, it adds none.
+    for n in range(2, 13):
+        per_block = _plans_per_block(monkeypatch, n, checked, moves)
+        assert max(per_block[2:], default=0) <= 2, n
+        assert sum(per_block) == sum(catalan(k - 1) for k in range(1, n)), n
+
+
+def test_each_block_start_of_a_deep_prefix_plans_at_most_two_levels(monkeypatch):
+    per_block = _plans_per_block(monkeypatch, 100, True, False, records=20_000)
+    assert per_block[1] == 97  # the first boundary: levels 4..100
+    assert max(per_block[2:]) == 2
+
+
 def test_adjacency_violation_names_level_position_and_case(broken_next_leftmost):
     want = (
         "adjacency violation in case 2a1 at level 7 after position 3 of "
@@ -194,6 +246,37 @@ def test_adjacency_violation_names_level_position_and_case(broken_next_leftmost)
         with pytest.raises(AdjacencyViolationError) as exc:
             list(gray_code(7, checked=checked, moves=True))
         assert str(exc.value) == want
+
+
+def test_adjacency_violation_carries_where_it_happened(broken_next_leftmost):
+    # At n=7 the broken boundary is the top's; at n=8 and n=9 it is level
+    # 7's, whose block a checked run starts ahead of need: the error is kept
+    # on that level and raised, the same object, when the level above asks
+    # it for a tree.
+    for n in (7, 8, 9):
+        with pytest.raises(AdjacencyViolationError) as exc:
+            list(gray_code(n))
+        e = exc.value
+        assert (e.level, e.position, e.case) == (7, 3, Case.C2A1), n
+        assert e.trees == (T(1, 2, 2, 2, 3, 2, 3), T(1, 2, 2, 2, 3, 4, 3)), n
+        assert str(e) == (
+            "adjacency violation in case 2a1 at level 7 after position 3 of "
+            "level 6: 1,2,2,2,3,2,3 vs 1,2,2,2,3,4,3"
+        )
+
+
+def test_forbidden_case_carries_where_it_happened(forbidden_case):
+    for n in (7, 8, 9):
+        for moves in (False, True):
+            with pytest.raises(ForbiddenCaseError) as exc:
+                list(gray_code(n, moves=moves))
+            e = exc.value
+            assert (e.level, e.position, e.case) == (6, 3, Case.C4B3), n
+            assert e.trees == (T(1, 2, 2, 2, 3, 2), T(1, 2, 2, 2, 3, 4)), n
+            assert str(e) == (
+                "forbidden case 4b3 at level 6, position 3: "
+                "1,2,2,2,3,2 -> 1,2,2,2,3,4"
+            )
 
 
 def test_violation_is_caught_at_the_lowest_proven_level(broken_next_leftmost):
@@ -242,6 +325,9 @@ _FAULT_MODES = [(True, False), (False, False), (True, True), (False, True)]
         ("broken_child_index", 7, (9, 9, 10, 10)),
         ("broken_child_index", 8, (23, 23, 23, 23)),
         ("broken_child_index", 9, (67, 67, 67, 67)),
+        ("forbidden_case", 7, (8, 8, 8, 8)),
+        ("forbidden_case", 8, (21, 21, 21, 21)),
+        ("forbidden_case", 9, (63, 63, 63, 63)),
     ],
 )
 def test_faults_surface_at_the_record_the_walk_reaches_them(request, fixture, n, want):
@@ -252,7 +338,11 @@ def test_faults_surface_at_the_record_the_walk_reaches_them(request, fixture, n,
     # ahead of need, but a fault must surface where the level that meets it
     # is first asked for a tree, which fixes the record.
     request.getfixturevalue(fixture)
-    error = AdjacencyViolationError if fixture == "broken_next_leftmost" else ValueError
+    error = {
+        "broken_next_leftmost": AdjacencyViolationError,
+        "broken_child_index": ValueError,
+        "forbidden_case": ForbiddenCaseError,
+    }[fixture]
     for (checked, moves), count in zip(_FAULT_MODES, want):
         records = gray_code(n, checked=checked, moves=moves)
         seen = 0
