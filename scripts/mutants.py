@@ -56,14 +56,14 @@ MUTANTS = [
     Mutant(
         "verify-skips-the-first-pair",
         "src/treegray/oracle.py",
-        "if pos and not is_adjacent(b, c):",
-        "if pos > 1 and not is_adjacent(b, c):",
+        "if pos and not is_adjacent(",
+        "if pos > 1 and not is_adjacent(",
     ),
     Mutant(
         "verify-skips-the-first-co2-window",
         "src/treegray/oracle.py",
-        'if pos >= 2 and not check_co1(a, b, c):\n                report.invariant_failures.append((n, pos - 2, "co2"))',
-        'if pos >= 3 and not check_co1(a, b, c):\n                report.invariant_failures.append((n, pos - 2, "co2"))',
+        "            if pos >= 2:\n",
+        "            if pos >= 3:\n",
     ),
     Mutant(
         "co1-sweep-skips-level-n-minus-1",
@@ -76,6 +76,31 @@ MUTANTS = [
         "src/treegray/oracle.py",
         "if 0 in seen:",
         "if 0 in seen[:-1]:",
+    ),
+    # The move-stream certifier behind verify.
+    Mutant(
+        "rank-update-skips-the-window-end",
+        "src/treegray/oracle.py",
+        "for i in range(lo, hi):",
+        "for i in range(lo, hi - 1):",
+    ),
+    Mutant(
+        "no-op-move-not-flagged",
+        "src/treegray/oracle.py",
+        "if cur[lo:hi] == old:",
+        "if False:",
+    ),
+    Mutant(
+        "co2-undo-keeps-the-moved-tree",
+        "src/treegray/oracle.py",
+        "back = cur[:lo] + old + cur[hi:]",
+        "back = cur",
+    ),
+    Mutant(
+        "replay-skips-the-leaf-check",
+        "src/treegray/relations.py",
+        "if j != m - 1 and levels[j + 1] > levels[j]:",
+        "if False:",
     ),
     # The block-boundary walk.
     Mutant(

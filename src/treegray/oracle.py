@@ -2,29 +2,33 @@
 
 Everything here is independent of the step rules: trees are ranked and
 enumerated in the lexicographic order of level sequences, counts come from
-the Catalan formula, and adjacency is re-checked with relations.is_adjacent.
-That check certifies its answer: two children of one tree are adjacent when
-they differ, and for any other pair the move the O(n) search relations._move
-finds is replayed with apply_delta and compared with the second tree.  The
-generator never runs that search.  verify() stores no trees: one byte
-per lexicographic rank (ballot-number ranking, Zaks 1980) marks the trees
+the Catalan formula, and adjacency is certified by replay.  verify() reads
+the generator's checked move stream and certifies it in one loop
+(_certify), which uses nothing from the generator: it keeps one mutable
+level list, replays each move in place with apply_delta's checks, so that
+every step removes a leaf and inserts one, and updates the lexicographic
+rank over the positions the move changes.  Only the first tree, or a tree
+record anywhere in the stream, is ranked in full and checked with
+relations.is_adjacent, which replays the move the O(n) search
+relations._move finds and compares the result with the second tree; the
+generator never runs that search.  verify() stores no trees: one byte per
+lexicographic rank (ballot-number ranking, Zaks 1980) marks the trees
 seen, so unique and complete are "no byte set twice" and "no byte left at
 zero", and only a byte left at zero makes the lexicographic successor walk
 run, to name the missing trees.  verify() runs the generator with its
-defensive checks on, checks each record in one loop (rank, co2 window,
-adjacency) and reports every deviation instead of raising, so a broken
-build still produces a readable report.
+defensive checks on and reports every deviation instead of raising, so a
+broken build still produces a readable report.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from itertools import accumulate
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from .generator import StreamStats, gray_code
 from .ordering import FORBIDDEN_CASES, check_co1, format_case_histogram
-from .relations import is_adjacent
+from .relations import Delta, _replay_in_place, has_pony_tail, is_adjacent, is_copying
 from .tree import OrderedTree
 
 def catalan(m: int) -> int:
@@ -51,30 +55,30 @@ def _successors(n: int) -> Iterator[tuple[int, ...]]:
     # The walk terminates at (1,2,3,...,n), the lexicographic maximum.
 
 
-def _rank_table(n: int) -> list[dict[int, int]]:
+def _rank_table(n: int) -> list[list[Optional[int]]]:
     """table[i][v]: the size-n level sequences that agree with a given one
     before position i and have an entry below v there.
 
-    v is a key of table[i] only where a level sequence can hold it: 2 to
-    i + 1 at a 0-based position i >= 1, and 1 at the root.  The count is
-    the number of ways to complete the sequence after each entry w from 2 to
-    v - 1, so summing one entry per position gives the position of a
-    sequence in the lexicographic order of enumerate_all.
+    Row i is indexed by the level itself and holds a count only where a
+    level sequence can hold v: 2 to i + 1 at a 0-based position i >= 1, and
+    1 at the root; lower indices hold None.  The count is the number of ways
+    to complete the sequence after each entry w from 2 to v - 1, so summing
+    one entry per position gives the position of a sequence in the
+    lexicographic order of enumerate_all.
     """
     # tails[w]: the ways to fill the positions after i when position i holds
     # w; the entry after w is any x from 2 to w + 1.
     tails = [1] * (n + 1)
-    table = []
+    table: list[list[Optional[int]]] = []
     for i in range(n - 1, 0, -1):
-        below = accumulate(tails[2 : i + 1], initial=0)
-        table.append(dict(zip(range(2, i + 2), below)))
+        table.append([None, None, *accumulate(tails[2 : i + 1], initial=0)])
         tails = list(accumulate(tails[2:], initial=0))
-    table.append({1: 0})
+    table.append([None, 0])
     table.reverse()
     return table
 
 
-def _rank(levels: tuple[int, ...], table: list[dict[int, int]]) -> Optional[int]:
+def _rank(levels: tuple[int, ...], table: list[list[Optional[int]]]) -> Optional[int]:
     """The position of levels in enumerate_all(len(table)), or None if levels
     is not a level sequence of that size: wrong length, a root other than 1,
     an entry below 2, or an entry more than one above the one before it."""
@@ -84,11 +88,11 @@ def _rank(levels: tuple[int, ...], table: list[dict[int, int]]) -> Optional[int]
     prev = 0
     try:
         for row, v in zip(table, levels):
-            if v > prev + 1:
+            if not 0 < v <= prev + 1:
                 return None
-            rank += row[v]  # KeyError: a level no position can hold
+            rank += row[v]  # TypeError: None, a level 1 below the root
             prev = v
-    except KeyError:
+    except TypeError:
         return None
     return rank
 
@@ -211,51 +215,105 @@ def _co1_sweep(report: VerificationReport, n: int) -> None:
             return
 
 
+def _certify(
+    report: VerificationReport,
+    records: Iterable[Union[OrderedTree, Delta]],
+    table: list[list[Optional[int]]],
+    seen: bytearray,
+) -> None:
+    """Check a stream of size-n records in one pass, setting seen[rank] for
+    each and recording every deviation, the total and any error in report.
+
+    One mutable level list holds the current tree.  A tree record is ranked
+    in full and checked against the record before it with is_adjacent.  A
+    Delta is replayed in place with apply_delta's checks, which makes the
+    step a leaf removal and a leaf insertion, so it is a Gray step unless it
+    leaves the tree unchanged.  It changes only the entries from
+    min(remove_at, insert_at) to max(...), and the rank is a sum over
+    positions, so only that window is re-ranked.  co2 is read from the last
+    entries of the three current trees, as check_co1 reads them; only the
+    window whose outer trees have rpl 1 and whose middle one does not needs
+    whole trees, and the middle one is rebuilt by undoing the move.  A
+    record with no rank, or a move that does not replay, ends the run as
+    the report's generation error.
+    """
+    n = report.n
+    cur: list[int] = []
+    rank = 0
+    # ea, eb: the last entries of the two records a, b before the current
+    # one, c; back is b's levels where a tree record c needs them anyway.
+    ea = eb = 0
+    total = 0
+    try:
+        for pos, c in enumerate(records):
+            if isinstance(c, Delta):
+                r, p, _ = c
+                lo, hi = (r - 1, p) if r < p else (p - 1, r)
+                old = cur[lo:hi]
+                try:
+                    _replay_in_place(cur, c)
+                except ValueError as exc:
+                    if pos:
+                        report.adjacency_failures.append((pos - 1, pos))
+                    report.generation_error = f"record {pos} does not replay: {exc}"
+                    break
+                if cur[lo:hi] == old:  # equal trees are not adjacent
+                    report.adjacency_failures.append((pos - 1, pos))
+                for i in range(lo, hi):
+                    rank += table[i][cur[i]] - table[i][old[i - lo]]
+                back = None
+            else:
+                rank = _rank(c.levels, table)
+                if rank is None:
+                    report.generation_error = (
+                        f"record {pos} is not a tree with {n} vertices: {c}"
+                    )
+                    break
+                back = cur
+                cur = list(c.levels)
+                if pos and not is_adjacent(OrderedTree._trusted(tuple(back)), c):
+                    report.adjacency_failures.append((pos - 1, pos))
+            if seen[rank]:
+                report.duplicates.append(OrderedTree._trusted(tuple(cur)))
+            seen[rank] = 1
+            ec = cur[-1]
+            if pos >= 2:
+                if ea == 2 == ec and eb > 2:
+                    if back is None:  # undo the move
+                        back = cur[:lo] + old + cur[hi:]
+                    b = OrderedTree._trusted(tuple(back))
+                    c = OrderedTree._trusted(tuple(cur))
+                    if not (has_pony_tail(b) and is_copying(c, b)):
+                        report.invariant_failures.append((n, pos - 2, "co2"))
+                elif ea == ec >= 3 and ea <= eb:
+                    report.invariant_failures.append((n, pos - 2, "co2"))
+            ea, eb = eb, ec
+            total = pos + 1
+    except (RuntimeError, ValueError) as exc:
+        report.generation_error = f"{type(exc).__name__}: {exc}"
+    report.total = total
+
+
 def verify(n: int) -> VerificationReport:
     """Run the generator under full instrumentation and report all deviations.
 
     Every run checks each consecutive pair for adjacency (gray), the trees
     for repeats (unique) and omissions (complete), the window invariant over
-    level n (co2) and the levels below it (co1), and the case labels.  One
-    loop over the checked run ranks and marks each record, then checks the
-    co2 window it closes and its adjacency to the record before it.  A
-    record with no rank ends the run as the report's generation error, before
-    any check that assumes a tree of size n sees it.  Failures are recorded,
-    never raised.  n is checked before the run, so a ValueError in it is a
-    generator fault too (a broken step rule can hand OrderedTree.child an
-    index out of range).
+    level n (co2) and the levels below it (co1), and the case labels.  The
+    checked move stream of level n is certified record by record (_certify):
+    its first tree is ranked in full, and each move after it is replayed in
+    place and re-ranked over the positions it changes, so _rank runs once.
+    Failures are recorded, never raised.  n is checked before the run, so a
+    ValueError in it is a generator fault too (a broken step rule can hand
+    OrderedTree.child an index out of range).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     report = VerificationReport(n=n)
-    table = _rank_table(n)
     seen = bytearray(report.expected)
     stats = StreamStats()
-    # a, b: the two records before c, so (a, b, c) is the co2 window and
-    # (b, c) the pair checked for adjacency.  total counts the records whose
-    # checks all ran.
-    a = b = None
-    total = 0
-    try:
-        for pos, c in enumerate(gray_code(n, checked=True, stats=stats)):
-            rank = _rank(c.levels, table)
-            if rank is None:
-                report.generation_error = (
-                    f"record {pos} is not a tree with {n} vertices: {c}"
-                )
-                break
-            if seen[rank]:
-                report.duplicates.append(c)
-            seen[rank] = 1
-            if pos >= 2 and not check_co1(a, b, c):
-                report.invariant_failures.append((n, pos - 2, "co2"))
-            if pos and not is_adjacent(b, c):
-                report.adjacency_failures.append((pos - 1, pos))
-            a, b = b, c
-            total = pos + 1
-    except (RuntimeError, ValueError) as exc:
-        report.generation_error = f"{type(exc).__name__}: {exc}"
-    report.total = total
+    records = gray_code(n, checked=True, moves=True, stats=stats)
+    _certify(report, records, _rank_table(n), seen)
     report.case_histogram = Counter(stats.case_counts)
     if report.generation_error is None:
         if 0 in seen:

@@ -7,7 +7,9 @@ sequence; _move reads it off the first and last differing positions in O(n)
 for delta and is_adjacent, which replays it (_replay: apply_delta on a bare
 level tuple) instead of trusting the search.  _sibling_move gives it with no
 search when both trees are children of one tree; the generator derives every
-other move from it and proves it with the same replay.
+other move from it and proves it with the same replay.  The replay's checks
+live in one place, _replay_in_place, which edits a mutable level list; the
+oracle's certifier replays a whole move stream on one such list.
 Copying, used by the ordering rules, is the restricted form: U arises from T
 by appending a new rightmost leaf, then deleting some other leaf.
 """
@@ -201,27 +203,33 @@ def delta(t: OrderedTree, u: OrderedTree) -> Delta:
     return m
 
 
-def _replay(levels: tuple[int, ...], d: Delta) -> tuple[int, ...]:
-    """apply_delta on a bare level tuple: the same checks and errors."""
+def _replay_in_place(levels: list[int], d: Delta) -> None:
+    """apply_delta on a mutable level list, edited in place: the same checks
+    and errors.  A move that does not replay may leave the list half-edited."""
     m = len(levels)
     r, p, v = d
     j, q = r - 1, p - 1
     if not 1 <= j < m:
-        tree = OrderedTree._trusted(levels)
+        tree = OrderedTree._trusted(tuple(levels))
         raise ValueError(f"remove_at {r} out of range for {tree}")
     if j != m - 1 and levels[j + 1] > levels[j]:
-        tree = OrderedTree._trusted(levels)
+        tree = OrderedTree._trusted(tuple(levels))
         raise ValueError(f"entry {r} of {tree} is not a leaf")
-    # One list edited in place: fewer tuples than slicing twice.
-    short = list(levels)
-    del short[j]
+    del levels[j]
     if not 1 <= q < m:
         raise ValueError(f"insert_at {p} out of range")
-    if not 2 <= v <= short[q - 1] + 1:
-        raise ValueError(f"insert_level {v} invalid after level {short[q - 1]}")
-    if q < m - 1 and short[q] > v:
+    if not 2 <= v <= levels[q - 1] + 1:
+        raise ValueError(f"insert_level {v} invalid after level {levels[q - 1]}")
+    if q < m - 1 and levels[q] > v:
         raise ValueError(f"inserting level {v} at {p} would capture a subtree")
-    short.insert(q, v)
+    levels.insert(q, v)
+
+
+def _replay(levels: tuple[int, ...], d: Delta) -> tuple[int, ...]:
+    """apply_delta on a bare level tuple: the same checks and errors."""
+    # One list edited in place: fewer tuples than slicing twice.
+    short = list(levels)
+    _replay_in_place(short, d)
     return tuple(short)
 
 

@@ -2,7 +2,7 @@
 and its streamed DOT export."""
 import itertools
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -54,6 +54,16 @@ def test_first_tree_is_star():
     for n in range(1, 12):
         first = next(gray_code(n))
         assert first.levels == (1,) + (2,) * (n - 1)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_last_tree_has_a_closed_form(n):
+    # 1,2,3 and then the first n-3 entries of 2,3,3,2,3,3,...  It is
+    # adjacent to the star only for n <= 4, so the code is not cyclic above.
+    (last,) = deque(gray_code(n, checked=False), maxlen=1)
+    tail = itertools.islice(itertools.cycle((2, 3, 3)), n - 3)
+    assert last.levels == (1, 2, 3, *tail)
+    assert is_adjacent(last, next(gray_code(n))) == (n <= 4)
 
 
 def test_complete_and_unique():

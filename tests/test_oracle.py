@@ -12,13 +12,15 @@ from treegray import (
     Delta,
     OrderedTree,
     VerificationReport,
+    apply_delta,
     catalan,
+    delta,
     enumerate_all,
     gray_code,
     is_adjacent,
     verify,
 )
-from treegray.oracle import _rank, _rank_table
+from treegray.oracle import _certify, _rank, _rank_table
 
 
 @pytest.mark.parametrize(
@@ -173,9 +175,12 @@ def test_verify_report_is_pinned(n):
 
 
 def _verify_broken_n6(monkeypatch, mutate, level=6):
-    # Feed verify(6) the per-level streams with the one of size `level`
-    # damaged by mutate; the others stay intact.
+    # Feed verify(6) the per-level tree streams with the one of size `level`
+    # damaged by mutate; the others stay intact.  verify asks for moves at
+    # level 6 and gets trees, each of which it ranks in full and checks with
+    # is_adjacent.
     def broken(k, **kwargs):
+        kwargs.pop("moves", None)
         trees = list(gray_code(k, **kwargs))
         if k == level:
             mutate(trees)
@@ -354,3 +359,147 @@ def test_gray_check_certifies_the_search(monkeypatch):
 
     report = _verify_broken_n6(monkeypatch, swap)
     assert report.adjacency_failures == [(2, 3), (3, 4), (17, 18), (18, 19)]
+
+
+class _Marks(bytearray):
+    """A mark table that logs each rank it is asked to mark."""
+
+    def __init__(self, size):
+        super().__init__(size)
+        self.ranks = []
+
+    def __setitem__(self, rank, value):
+        self.ranks.append(rank)
+        super().__setitem__(rank, value)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_certified_rank_is_the_rank_of_the_replayed_tree(n):
+    # The rank updated over each move's window is _rank of the tree the move
+    # replays to, on every record.
+    table = _rank_table(n)
+    records = list(gray_code(n, moves=True))
+    marks = _Marks(catalan(n - 1))
+    report = VerificationReport(n=n)
+    _certify(report, iter(records), table, marks)
+    tree, want = records[0], []
+    for record in records:
+        tree = record if isinstance(record, OrderedTree) else apply_delta(tree, record)
+        want.append(_rank(tree.levels, table))
+    assert marks.ranks == want
+    assert sorted(want) == list(range(catalan(n - 1)))
+    assert report.total == len(records) and report.generation_error is None
+    assert report.adjacency_failures == report.invariant_failures == []
+
+
+def _counting(monkeypatch, name):
+    # Count the calls verify makes to the oracle's binding of `name`.
+    real = getattr(treegray.oracle, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(treegray.oracle, name, counted)
+    return calls
+
+
+def test_healthy_verify_ranks_only_the_first_tree(monkeypatch):
+    ranks = _counting(monkeypatch, "_rank")
+    adjacent = _counting(monkeypatch, "is_adjacent")
+    assert verify(8).passed
+    assert len(ranks) == 1 and adjacent == []
+
+
+def test_a_tree_inside_a_move_stream_is_ranked_and_checked_in_full(monkeypatch):
+    # Record 20 of verify(7)'s move stream handed over as the tree it replays
+    # to: verify ranks it in full and checks it against record 19 with
+    # is_adjacent, and its report does not change.
+    want = verify(7).render()
+    trees = list(gray_code(7))
+
+    def mixed(k, **kwargs):
+        records = list(gray_code(k, **kwargs))
+        if kwargs.get("moves"):
+            records[20] = trees[20]
+        return iter(records)
+
+    monkeypatch.setattr(treegray.oracle, "gray_code", mixed)
+    ranks = _counting(monkeypatch, "_rank")
+    adjacent = _counting(monkeypatch, "is_adjacent")
+    assert verify(7).render() == want
+    assert [levels for levels, _ in ranks] == [trees[0].levels, trees[20].levels]
+    assert adjacent == [(trees[19], trees[20])]
+
+
+def _verify_broken_moves_n6(monkeypatch, mutate):
+    # Feed verify(6) its move stream damaged by mutate.
+    def broken(k, **kwargs):
+        records = list(gray_code(k, **kwargs))
+        if kwargs.get("moves"):
+            mutate(records)
+        return iter(records)
+
+    monkeypatch.setattr(treegray.oracle, "gray_code", broken)
+    return verify(6)
+
+
+def _report(*lines):
+    # The text of a verify(6) report: these lines, then the histogram of the
+    # sound run, which a damaged move stream leaves as it is.
+    histogram = verify(6).render().split("case histogram:")[1]
+    return "\n".join(lines) + "\ncase histogram:" + histogram
+
+
+def test_verify_rejects_a_move_that_removes_a_non_leaf(monkeypatch):
+    # Record 5 removes entry 4 of record 4, 1,2,2,2,3,4, which has a child.
+    def damage(records):
+        records[5] = Delta(4, 5, 3)
+
+    report = _verify_broken_moves_n6(monkeypatch, damage)
+    assert report.render() == _report(
+        "FAIL n=6 total=5 expected=42 duplicates=0 missing=0 adjacency_failures=1 "
+        "invariant_failures=0 forbidden_case_hits=0",
+        "generation error: record 5 does not replay: entry 4 of 1,2,2,2,3,4 "
+        "is not a leaf",
+        "not adjacent: positions 4,5",
+    )
+
+
+def test_verify_flags_a_move_that_changes_nothing(monkeypatch):
+    # A move inserted after record 3, 1,2,2,2,3,2, that takes its last leaf
+    # and puts it back: the two equal trees are not adjacent, and the tree
+    # is listed twice.
+    def damage(records):
+        records.insert(4, Delta(6, 6, 2))
+
+    report = _verify_broken_moves_n6(monkeypatch, damage)
+    assert report.duplicates == [OrderedTree([1, 2, 2, 2, 3, 2])]
+    assert report.render() == _report(
+        "FAIL n=6 total=43 expected=42 duplicates=1 missing=0 adjacency_failures=1 "
+        "invariant_failures=0 forbidden_case_hits=0",
+        "duplicate: 1,2,2,2,3,2",
+        "not adjacent: positions 3,4",
+    )
+
+
+def test_verify_flags_a_move_back_to_the_star(monkeypatch):
+    # Records 2 and 3 go from record 1 back to the star and on to record 3:
+    # both are Gray moves, so only the repeated star and the skipped record 2
+    # show.  The window (0, 1, 2) has outer rpl 1 and middle rpl 2, so its
+    # co2 check rebuilds record 1 by undoing the move back to the star.
+    trees = list(gray_code(6))
+
+    def damage(records):
+        records[2] = delta(trees[1], trees[0])
+        records[3] = delta(trees[0], trees[3])
+
+    report = _verify_broken_moves_n6(monkeypatch, damage)
+    assert report.duplicates == [trees[0]] and report.missing == [trees[2]]
+    assert report.render() == _report(
+        "FAIL n=6 total=42 expected=42 duplicates=1 missing=1 adjacency_failures=0 "
+        "invariant_failures=0 forbidden_case_hits=0",
+        "duplicate: 1,2,2,2,2,2",
+        "missing: 1,2,2,2,3,3",
+    )
