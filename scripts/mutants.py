@@ -106,14 +106,14 @@ MUTANTS = [
     Mutant(
         "replay-from-the-wrong-child",
         "src/treegray/generator.py",
-        "last = _child_levels(lv.cur.levels, lv.order[-1])",
-        "last = _child_levels(lv.cur.levels, lv.order[0])",
+        "end, ell = lv.cur, lv.order[-1]",
+        "end, ell = lv.cur, lv.order[0]",
     ),
     Mutant(
         "proof-replays-onto-itself",
-        "src/treegray/generator.py",
-        "first = _child_levels(cur.levels, order[0])",
-        "first = _replay(last, m)",
+        "src/treegray/relations.py",
+        "    return ts == us\n",
+        "    return ts == ts\n",
     ),
     # Rolling due levels ahead of need.
     Mutant(
@@ -125,14 +125,52 @@ MUTANTS = [
     Mutant(
         "roll-ahead-rolls-two-levels",
         "src/treegray/generator.py",
-        "        if due:\n            _roll_ahead(levels, proven, stats, due)\n",
-        "        for _ in range(2):\n            if due:\n                _roll_ahead(levels, proven, stats, due)\n",
+        "m = _advance(levels, n, proven, stats, due, 1)",
+        "m = _advance(levels, n, proven, stats, due, 2)",
     ),
     Mutant(
         "proof-ends-skip-the-range-check",
+        "src/treegray/generator.py",
+        "if not 1 <= ell <= end.last:",
+        "if not 1 <= ell <= end.last + 1:",
+    ),
+    # The node forms: each reads only the suffixes above the shared node.
+    Mutant(
+        "copying-meet-stops-one-node-early",
+        "src/treegray/relations.py",
+        "if up is b.up:  # a is t's node of size s + 1",
+        "if up.up is b.up.up:",
+    ),
+    Mutant(
+        "proof-skips-the-entry-at-the-shared-node",
+        "src/treegray/relations.py",
+        "        ts.append(last)\n        us.append(last)\n"
+        "        r -= s - 1\n        p -= s - 1\n",
+        "        r -= s\n        p -= s\n",
+    ),
+    Mutant(
+        "proof-run-one-short",
+        "src/treegray/relations.py",
+        "elif t.run > s - lo:",
+        "elif t.run >= s - lo:",
+    ),
+    Mutant(
+        "sibling-move-run-off-by-one",
+        "src/treegray/relations.py",
+        "        q -= parent.run\n",
+        "        q -= parent.run - 1\n",
+    ),
+    Mutant(
+        "move-stream-sibling-run-off-by-one",
+        "src/treegray/generator.py",
+        "last, start = node.last, n - node.run",
+        "last, start = node.last, n - node.run + 1",
+    ),
+    Mutant(
+        "spliced-sibling-keeps-the-old-last-entry",
         "src/treegray/tree.py",
-        "    if not 1 <= i <= top:\n        raise",
-        "    if not 1 <= i <= top + 1:\n        raise",
+        "keep = ends[-2]",
+        "keep = ends[-1]",
     ),
     Mutant(
         "order-cache-keyed-without-right",
@@ -162,8 +200,8 @@ MUTANTS = [
     Mutant(
         "levels-renderer-drops-each-first-child",
         "src/treegray/cli.py",
-        "child_lines(p.levels, order) for",
-        "child_lines(p.levels, order[1:]) for",
+        "child_lines(head(p), order) for",
+        "child_lines(head(p), order[1:]) for",
     ),
     Mutant(
         "parens-suffix-off-by-one",
@@ -176,12 +214,6 @@ MUTANTS = [
         "src/treegray/relations.py",
         "texts[i] if i != same else str(_sibling_move(parent, i + 1))",
         "texts[i]",
-    ),
-    Mutant(
-        "sibling-move-chunk-overshoots",
-        "src/treegray/relations.py",
-        "            q -= 64\n",
-        "            q -= 65\n",
     ),
 ]
 

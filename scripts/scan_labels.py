@@ -22,6 +22,7 @@ from collections import Counter
 
 from treegray import FORBIDDEN_CASES, Case, ForbiddenCaseError, gray_code
 from treegray.ordering import plan_step
+from treegray.tree import _nodes
 
 NEVER_SELECTED = (
     Case.C1B, Case.C2C1, Case.C2C2, Case.C3C1, Case.C3C2, Case.C4B1_EQ_OTHER
@@ -34,7 +35,7 @@ def level_labels(k: int) -> Counter:
     counts: Counter = Counter({Case.LAST: 1})
     lm = 1
     for cur, nxt in itertools.pairwise(gray_code(k, checked=False)):
-        case, _, lm = plan_step(cur, nxt, lm)
+        case, _, lm = plan_step(*_nodes(cur, nxt), lm)
         counts[case] += 1
         if case in FORBIDDEN_CASES:
             raise ForbiddenCaseError(f"forbidden case {case}: {cur} -> {nxt}")

@@ -7,9 +7,10 @@ Arguments are checked before any output is written, so a ValueError raised
 while gen or dot is writing is a generation failure, not a usage error.
 
 gen renders its records block by block from generator._blocks: each
-block's parent is rendered once, by the text functions of treegray.tree for
-the levels and parens formats, and each record adds a short suffix; in the
-delta format each sibling move comes from relations._sibling_move_lines.
+block's parent, a family-tree node, is rendered once, spliced from the
+parent before by tree.Spliced for the levels and parens formats, and each
+record adds a short suffix; in the delta format each sibling move comes from
+relations._sibling_move_lines, which reads the parent's last level and run.
 """
 from __future__ import annotations
 
@@ -26,7 +27,15 @@ from .oracle import catalan, verify
 from .relations import _sibling_move_lines
 # bench/tracer.py wraps cli.delta by name, so it stays bound.
 from .relations import delta  # noqa: F401
-from .tree import child_lines, child_parens, encode_parens
+from .tree import (
+    OrderedTree,
+    Spliced,
+    child_lines,
+    child_parens,
+    encode_parens,
+    level_piece,
+    paren_piece,
+)
 
 # verify keeps one byte per tree, Catalan(n-1) of them (742,900 at n=14), so
 # its cap bounds run time, not memory: each vertex multiplies the trees by
@@ -88,10 +97,12 @@ def _gen_lines(n: int, fmt: str, checked: bool) -> Iterator[str]:
     if fmt == "delta":
         return _delta_lines(blocks)
     if fmt == "levels":
-        lines = (child_lines(p.levels, order) for p, order, _ in blocks)
+        head = Spliced(level_piece)
+        lines = (child_lines(head(p), order) for p, order, _ in blocks)
     else:
+        head = Spliced(paren_piece)
         lines = (
-            child_parens(encode_parens(p), p.levels[-1], order)
+            child_parens(head(p) + ")" * p.last, p.last, order)
             for p, order, _ in blocks
         )
     return itertools.chain.from_iterable(lines)
@@ -101,8 +112,11 @@ def _delta_lines(blocks: Iterator[Block]) -> Iterator[str]:
     # The first tree in levels form, then each block's boundary move and the
     # moves between its siblings.
     for parent, order, move in blocks:
-        yield str(parent.child(order[0])) if move is None else str(move)
-        yield from _sibling_move_lines(parent.levels, order[1:])
+        if move is None:
+            yield str(OrderedTree._trusted(parent.levels).child(order[0]))
+        else:
+            yield str(move)
+        yield from _sibling_move_lines(parent, order[1:])
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -10,8 +10,9 @@ reported as a case label so runs can be audited.
 
 plan_step is the one decision tree: each branch returns its label, the child
 order and the next leftmost child together.  plan_last orders the final tree
-of a level.  check_co1 is the window invariant over three consecutive trees
-of one size.
+of a level.  Both take the generator's family-tree nodes (tree.Node).
+check_co1 is the window invariant over three consecutive trees of one size,
+on OrderedTree for the oracle.
 
 Three branches are forbidden (3a1, 3c1_other, 4b3); selecting one is an
 error, never silently accepted.  The generator never selects them, and never
@@ -25,8 +26,8 @@ import enum
 from functools import lru_cache
 from typing import Mapping, Optional
 
-from .relations import has_pony_tail, is_copying
-from .tree import OrderedTree
+from .relations import _copying, has_pony_tail, is_copying
+from .tree import Node, OrderedTree
 
 
 class Case(enum.Enum):
@@ -123,18 +124,26 @@ def _order(lm: int, top: int, right: int) -> tuple[int, ...]:
     return (lm, *_descending(top, lm, right), right)
 
 
+def _pony(t: Node) -> bool:
+    # has_pony_tail on a node: its last two levels are 2, 3.
+    return t.last == 3 and t.up.last == 2
+
+
 def plan_step(
-    t_cur: OrderedTree, t_next: OrderedTree, leftmost_index: int
+    t_cur: Node, t_next: Node, leftmost_index: int
 ) -> tuple[Case, tuple[int, ...], int]:
     """Order the children of t_cur and pick the leftmost child of t_next.
 
-    Returns (case, full child-index order of t_cur, index of t_next's
-    leftmost child); the order starts with leftmost_index.  Subcases are
-    tested in listing order.  No trees are materialized and no checks run.
-    Forbidden labels are returned with an empty order, not raised, so
-    callers can count them before failing.
+    t_cur and t_next are consecutive trees of one level, as nodes of one
+    family tree (tree.Node).  Returns (case, full child-index order of
+    t_cur, index of t_next's leftmost child); the order starts with
+    leftmost_index.  Subcases are tested in listing order.  No trees are
+    materialized and no checks run: the rules read the last levels, the one
+    below for a pony-tail, and copying on the suffixes above the node the
+    two share (relations._copying).  Forbidden labels are returned with an
+    empty order, not raised, so callers can count them before failing.
     """
-    r1, r2 = t_cur.levels[-1] - 1, t_next.levels[-1] - 1
+    r1, r2 = t_cur.last - 1, t_next.last - 1
     lm = leftmost_index
     first = lm == 1
     if r1 == 1:
@@ -142,23 +151,23 @@ def plan_step(
         order = (1, 2) if first else (2, 1)
         if r2 == 1:
             return (Case.C1A, order, 2) if first else (Case.C1B, order, 1)
-        if not has_pony_tail(t_next):
+        if not _pony(t_next):
             return (Case.C2A1 if first else Case.C2A2), order, 1
-        if is_copying(t_cur, t_next):
+        if _copying(t_cur, t_next):
             return (Case.C2B1, order, 2) if first else (Case.C2B2, order, 1)
-        if is_copying(t_next, t_cur):
+        if _copying(t_next, t_cur):
             return (Case.C2C1 if first else Case.C2C2), order, 1
         raise CaseExhaustionError(
             f"case exhaustion: no case-2 branch for {t_cur} -> {t_next}"
         )
     if r2 == 1:
-        if not has_pony_tail(t_cur):
+        if not _pony(t_cur):
             case = Case.C3A1 if first else Case.C3A2
-        elif is_copying(t_next, t_cur):
+        elif _copying(t_next, t_cur):
             if first:
                 return Case.C3B1, (1, 3, 2), 2
             case = Case.C3B2
-        elif is_copying(t_cur, t_next):
+        elif _copying(t_cur, t_next):
             # The benign 3c1 variant needs mutual copying, which 3b1 above
             # has already taken; so no branch returns Case.C3C1.
             case = Case.C3C1_OTHER if first else Case.C3C2
@@ -189,10 +198,10 @@ def plan_step(
     return case, _order(lm, r1 + 1, right), nl
 
 
-def plan_last(t_last: OrderedTree, leftmost_index: int) -> tuple[int, ...]:
-    """Child-index order for the final tree of a level: the fixed leftmost,
-    then the remaining children by decreasing rpl."""
-    return (leftmost_index, *_descending(t_last.rpl + 1, leftmost_index))
+def plan_last(t_last: Node, leftmost_index: int) -> tuple[int, ...]:
+    """Child-index order for the final tree of a level, a node: the fixed
+    leftmost, then the remaining children by decreasing rpl."""
+    return (leftmost_index, *_descending(t_last.last, leftmost_index))
 
 
 def check_co1(a: OrderedTree, b: OrderedTree, c: OrderedTree) -> bool:

@@ -7,18 +7,23 @@ sequence; _move reads it off the first and last differing positions in O(n)
 for delta and is_adjacent, which replays it (_replay: apply_delta on a bare
 level tuple) instead of trusting the search.  _sibling_move gives it with no
 search when both trees are children of one tree; the generator derives every
-other move from it and proves it with the same replay.  The replay's checks
-live in one place, _replay_in_place, which edits a mutable level list; the
-oracle's certifier replays a whole move stream on one such list.
-Copying, used by the ordering rules, is the restricted form: U arises from T
-by appending a new rightmost leaf, then deleting some other leaf.
+other move from it and proves it with the same replay (_replays_to).  The
+replay's checks live in one place, _replay_in_place, which edits a mutable
+level list; the oracle's certifier replays a whole move stream on one such
+list.  Copying, used by the ordering rules, is the restricted form: U arises
+from T by appending a new rightmost leaf, then deleting some other leaf.
+
+The generator holds its trees as family-tree nodes (tree.Node), so
+_sibling_move, _copying and _replays_to take nodes and read only the
+entries above the node two trees share; is_copying and the replay on level
+tuples stay as the oracle's independent reference.
 """
 from __future__ import annotations
 
 from functools import lru_cache, partial
 from typing import Iterable, NamedTuple, Optional
 
-from .tree import OrderedTree
+from .tree import Node, OrderedTree
 
 
 class NotAdjacentError(ValueError):
@@ -134,23 +139,19 @@ def _move(t: OrderedTree, u: OrderedTree) -> Optional[Delta]:
     return None
 
 
-def _sibling_move(parent: tuple[int, ...], level: int) -> Delta:
-    """The canonical move from any other child of parent to parent + (level,).
+def _sibling_move(parent: Node, level: int) -> Delta:
+    """The canonical move from any other child of parent to its child with
+    last level `level`.
 
     The two trees differ only in their last entry, so this is _move's shape
     (A) with p == e == j the last position: the rightmost leaf goes, and the
     new leaf is inserted where the trailing run of `level` in the result
-    starts.  No tree is built.
+    starts, which parent's last level and run give in O(1).  No tree is built.
     """
-    q = len(parent)
-    # Long runs (a star's 2s) go 64 entries per C-level comparison.
-    if q > 64 and parent[q - 64] == level:
-        run = (level,) * 64
-        while q > 64 and parent[q - 64 : q] == run:
-            q -= 64
-    while parent[q - 1] == level:  # parent[0] is the root level 1 < level
-        q -= 1
-    return _new_delta((len(parent) + 1, q + 1, level))
+    q = parent.size
+    if parent.last == level:
+        q -= parent.run
+    return _new_delta((parent.size + 1, q + 1, level))
 
 
 @lru_cache(maxsize=None)
@@ -161,15 +162,40 @@ def _sibling_texts(n: int) -> tuple[str, ...]:
     return tuple(f"{n} {n} {i + 1}" for i in range(n))
 
 
-def _sibling_move_lines(parent: tuple[int, ...], order: Iterable[int]) -> list[str]:
+def _sibling_move_lines(parent: Node, order: Iterable[int]) -> list[str]:
     """str(_sibling_move(parent, i + 1)) for each child index i in order.
 
-    Only the child whose new leaf repeats parent's last level walks back
-    over a trailing run; every other move is read from a per-size table.
+    Only the child whose new leaf repeats parent's last level has a move of
+    its own; every other move is read from a per-size table.
     """
-    texts = _sibling_texts(len(parent) + 1)
-    same = parent[-1] - 1
+    texts = _sibling_texts(parent.size + 1)
+    same = parent.last - 1
     return [texts[i] if i != same else str(_sibling_move(parent, i + 1)) for i in order]
+
+
+def _copying(t: Node, u: Node) -> bool:
+    """is_copying(t, u) for two distinct nodes of one size in one family tree.
+
+    Let c be the deepest node the two chains share, of size s, and g the
+    grown sequence t + (u's last level,).  A deletion from g that gives u
+    keeps u's prefix, so it deletes an entry j <= s (0-based); one with
+    j < s needs g's entries j..s equal, and then j = s works too.  So u is
+    a copy iff g[s+1:] == u[s:], read pair by pair on the two chains above
+    c, and one of those entries is a leaf: entry s when the entry after it
+    is no higher, or entry s - 1 when t's entry s repeats it, that is when
+    t's node of size s + 1 has run > 1.  The walk is as long as the two
+    suffixes above c, not O(n).
+    """
+    if u.last > t.last + 1:  # rpl(u) > rpl(t) + 1: no child(t, rpl(u))
+        return False
+    a, b, after = t, u, u.last  # after: g's entry after a's
+    while True:
+        up = a.up
+        if up is b.up:  # a is t's node of size s + 1
+            return after <= a.last or a.run > 1
+        if a.last != b.up.last:
+            return False
+        after, a, b = a.last, up, b.up
 
 
 def is_adjacent(t: OrderedTree, u: OrderedTree) -> bool:
@@ -231,6 +257,64 @@ def _replay(levels: tuple[int, ...], d: Delta) -> tuple[int, ...]:
     short = list(levels)
     _replay_in_place(short, d)
     return tuple(short)
+
+
+def _replays_to(t: Node, i: int, u: Node, j: int, d: Delta) -> bool:
+    """True iff d replays on the levels of t.child(i), with every check of
+    apply_delta, to those of u.child(j); t and u are nodes of one size in
+    one family tree, i and j valid child indices, and the two children
+    distinct trees, as the two ends of a block boundary are.
+
+    A replay edits only the entries from the lower to the higher of d's two
+    positions and reads the one below them.  Let c be the deepest node the
+    chains share, of size s, so the two children agree up to position s.  If
+    the edits lie at or below s, the result differs from u's child above s.
+    If they lie above s, the replay runs on the entries from position s up
+    and the result is compared with the other child's.  If the lower
+    position is at or below s, the result matches only when the entries from
+    it to s are one run, of c's last level: a level the move inserts there
+    equals them, and one it removes there could be removed at any entry of
+    the run.  Then c's run covers them, the checks read there pass by the
+    tree's validity, and the run stands as one entry of its level, after
+    one more of it for the entry below.  Either way the replay reads and
+    compares every entry the move can change, in time for the two suffixes
+    above c.
+    """
+    size = t.size + 1
+    r, p, v = d
+    if not (2 <= r <= size and 2 <= p <= size):
+        return False  # out of range: apply_delta raises
+    ts, us = [i + 1], [j + 1]
+    while t is not u:
+        ts.append(t.last)
+        us.append(u.last)
+        t, u = t.up, u.up
+    s, last = t.size, t.last
+    if r < p:
+        lo, hi = r, p
+    else:
+        lo, hi = p, r
+    if hi <= s:
+        return False
+    if lo > s:  # the lists hold positions s..size
+        ts.append(last)
+        us.append(last)
+        r -= s - 1
+        p -= s - 1
+    elif t.run > s - lo:  # position s stands for the run from lo to s
+        ts += (last, last)
+        us += (last, last)
+        r = 2 if r == lo else r - s + 2
+        p = 2 if p == lo else p - s + 2
+    else:
+        return False
+    ts.reverse()
+    us.reverse()
+    try:
+        _replay_in_place(ts, (r, p, v))
+    except ValueError:  # the move does not replay
+        return False
+    return ts == us
 
 
 def apply_delta(t: OrderedTree, d: Delta) -> OrderedTree:

@@ -10,10 +10,15 @@ This module owns both text formats: the comma-separated level sequence
 ``decode_parens``).  ``child_lines`` and ``child_parens`` render all the
 children of one tree in either format from the tree's own text, so a block
 of siblings costs one rendering of their parent plus one short suffix each.
+
+``Node`` holds a tree as a node of the family tree (a tree's parent is
+itself minus its rightmost leaf): the node of its parent plus its last
+level.  The generator's stack is made of them, and ``Spliced`` renders a
+stream of them, each from the text of the one before.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable, Optional
 
 
 class InvalidLevelSequence(ValueError):
@@ -94,7 +99,7 @@ class OrderedTree:
         levels = self.levels
         top = levels[-1]  # rpl + 1
         if not 1 <= i <= top:
-            raise ValueError(f"child index {i} outside 1..{top} for {self}")
+            raise _child_error(self, i)
         t = _new(OrderedTree)
         _store_levels(t, levels + (i + 1,))
         return t
@@ -124,12 +129,146 @@ _new = object.__new__
 _store_levels = OrderedTree.levels.__set__
 
 
-def _child_levels(levels: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """OrderedTree.child on a bare tuple (child inlines it, saving a call)."""
-    top = levels[-1]  # rpl + 1
-    if not 1 <= i <= top:
-        raise ValueError(f"child index {i} outside 1..{top} for {_text(levels)[:-1]}")
-    return levels + (i + 1,)
+class Node:
+    """A tree held as a node of the family tree, in which a tree's parent is
+    itself minus its rightmost leaf.
+
+    up is the node of that parent (None for the one-vertex tree), last the
+    level of the rightmost leaf, run the length of the trailing run of
+    `last` in the level sequence, and size the number of vertices.  child(i)
+    costs O(1) and shares the whole chain above it.  The generator builds
+    every tree of a run exactly once, as a child of a node it already holds,
+    so within one run equal prefixes are one object: two nodes of one size
+    agree up to the deepest node their chains share, and an identity test
+    finds it.  ``levels`` and ``str`` walk the whole chain, in O(size).
+    """
+
+    __slots__ = ("up", "last", "run", "size")
+
+    up: Optional["Node"]
+    last: int
+    run: int
+    size: int
+
+    def child(self, i: int) -> "Node":
+        """The node of the tree with a new rightmost leaf at level i + 1,
+        valid for i in 1..last, as for OrderedTree.child."""
+        last = self.last
+        if not 1 <= i <= last:
+            raise _child_error(self, i)
+        node = _new(Node)
+        node.up = self
+        node.last = v = i + 1
+        node.run = self.run + 1 if v == last else 1
+        node.size = self.size + 1
+        return node
+
+    @property
+    def levels(self) -> tuple[int, ...]:
+        return tuple([x.last for x in reversed(_above(self, None))])
+
+    def __repr__(self) -> str:
+        return f"Node({list(self.levels)})"
+
+    def __str__(self) -> str:
+        return _text(self.levels)[:-1]
+
+
+def _child_error(tree: "OrderedTree | Node", i: int) -> ValueError:
+    """The error for a child index i outside 1..rpl + 1 of tree."""
+    return ValueError(f"child index {i} outside 1..{tree.levels[-1]} for {tree}")
+
+
+def _root() -> Node:
+    """The node of the one-vertex tree, the root of a new family tree."""
+    node = _new(Node)
+    node.up, node.last, node.run, node.size = None, 1, 1, 1
+    return node
+
+
+def _nodes(*trees: OrderedTree) -> list[Node]:
+    """The nodes of the given trees in one new family tree, so that equal
+    prefixes are one node, as in a run of the generator."""
+    root, made, out = _root(), {}, []
+    for tree in trees:
+        node = root
+        for v in tree.levels[1:]:
+            key = node, v
+            if key not in made:
+                made[key] = node.child(v - 1)
+            node = made[key]
+        out.append(node)
+    return out
+
+
+def _above(node: Node, prev: Optional[Node]) -> list[Node]:
+    """The nodes on node's chain above the node it shares with prev, a node
+    of the same size in the same family tree, from node down; all of the
+    chain if prev is None."""
+    above = []
+    if prev is None:
+        while node is not None:
+            above.append(node)
+            node = node.up
+    else:
+        while node is not prev:
+            above.append(node)
+            node, prev = node.up, prev.up
+    return above
+
+
+class Spliced:
+    """Renders nodes of one size, handed in one after another, each as the
+    concatenation of piece(x) over the nodes x of its chain, root first.
+
+    Consecutive trees of a stream share their chain up to some node, so only
+    the pieces above it are rendered and the rest is cut from the text of
+    the node before: a node costs Python work for its new suffix and one
+    copy of the text.  ends[s] is the length of the size-s prefix's text.
+    """
+
+    __slots__ = ("piece", "node", "text", "ends")
+
+    def __init__(self, piece: Callable[[Node], str]):
+        self.piece, self.node, self.text, self.ends = piece, None, "", [0]
+
+    def __call__(self, node: Node) -> str:
+        prev, ends = self.node, self.ends
+        self.node = node
+        if prev is not None and node.up is prev.up:  # siblings: one new piece
+            part = self.piece(node)
+            keep = ends[-2]
+            ends[-1] = keep + len(part)
+            self.text = text = self.text[:keep] + part
+            return text
+        above = _above(node, prev)
+        keep = node.size - len(above)
+        del ends[keep + 1 :]
+        end, parts, piece = ends[keep], [], self.piece
+        for x in reversed(above):
+            part = piece(x)
+            parts.append(part)
+            end += len(part)
+            ends.append(end)
+        self.text = text = self.text[: ends[keep]] + "".join(parts)
+        return text
+
+
+def level_piece(node: Node) -> str:
+    """node's last level as text, "v,": Spliced(level_piece) renders a node
+    as its level text plus a trailing comma, the head of child_lines."""
+    try:
+        return _ENTRIES[node.last]
+    except IndexError:  # a level above every one rendered so far
+        return _text((node.last,))
+
+
+def paren_piece(node: Node) -> str:
+    """What encode_parens writes for node's last vertex before the closing
+    parens at the end: Spliced(paren_piece) renders a node as its encoding
+    without the closing parens of the rightmost path."""
+    up = node.up
+    return "(" if up is None else f"{')' * (up.last - node.last + 1)}("
 
 
 # "v," at index v, for every level value v rendered so far: one short string
@@ -149,14 +288,13 @@ def _text(levels: tuple[int, ...]) -> str:
         return "".join([entries[v] for v in levels])
 
 
-def child_lines(parent: tuple[int, ...], order: Iterable[int]) -> list[str]:
-    """``str(tree.child(i))`` for each child index i in order, where parent
-    is ``tree.levels``.
+def child_lines(head: str, order: Iterable[int]) -> list[str]:
+    """``str(tree.child(i))`` for each child index i in order, where head is
+    the text of ``tree`` plus a trailing comma (Spliced(level_piece)).
 
-    The children of one tree share every level but the last, so parent's
-    text is rendered once and each child adds its last level, i + 1.
+    The children of one tree share every level but the last, so the head is
+    rendered once and each child adds its last level, i + 1.
     """
-    head = _text(parent)
     return [f"{head}{i + 1}" for i in order]
 
 

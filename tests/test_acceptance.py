@@ -9,9 +9,9 @@ other non-forbidden label to occur at n=10 and fails if any of the six
 occurs at any n up to 12, so a wrong argument turns it red.
 
 Criterion 9 measures the streaming promise: between yields of the n=14 run
-it counts the OrderedTree objects alive per size with gc.get_objects(),
-leaving out those alive before the run, so a stack that kept its trees
-would fail it.
+it counts the OrderedTree objects and the family-tree nodes (tree.Node)
+alive per size with gc.get_objects(), leaving out those alive before the
+run, so a stack that kept its trees would fail it.
 """
 import gc
 import time
@@ -35,6 +35,7 @@ from treegray import (
     is_copying,
     verify,
 )
+from treegray.tree import Node
 
 
 def _line(num, ok, detail):
@@ -51,11 +52,12 @@ def reports():
 HELD_STRIDE = 9973
 
 
-def _live_trees(skip):
-    # OrderedTree objects alive now, per size, other than those keyed in skip.
+def _live(kind, skip):
+    # Objects of type kind alive now, per size, other than those keyed in
+    # skip.
     held = Counter()
     for obj in gc.get_objects():
-        if type(obj) is OrderedTree and id(obj) not in skip:
+        if type(obj) is kind and id(obj) not in skip:
             held[obj.size] += 1
     return held
 
@@ -64,11 +66,13 @@ def _live_trees(skip):
 def run14():
     # One checked n=14 run with instrumentation plus the brute-force
     # adjacency re-check of every consecutive pair, and the peak number of
-    # live trees per size it reached, from counts taken every HELD_STRIDE
-    # records.  The trees alive before the run (other tests' module-level
-    # trees) are kept referenced in `before`, so no id of theirs is reused.
-    before = {id(o): o for o in gc.get_objects() if type(o) is OrderedTree}
-    held = Counter()
+    # live trees and nodes per size it reached, from counts taken every
+    # HELD_STRIDE records.  The objects alive before the run (other tests'
+    # module-level trees) are kept referenced in `before`, so no id of
+    # theirs is reused.
+    kinds = (OrderedTree, Node)
+    before = {id(o): o for o in gc.get_objects() if type(o) in kinds}
+    held, nodes = Counter(), Counter()
     counting = 0.0
     stats = StreamStats()
     start = time.perf_counter()
@@ -82,13 +86,15 @@ def run14():
         total += 1
         if total % HELD_STRIDE == 1:
             tick = time.perf_counter()
-            for size, count in _live_trees(before).items():
-                held[size] = max(held[size], count)
+            for live, kind in ((held, OrderedTree), (nodes, Node)):
+                for size, count in _live(kind, before).items():
+                    live[size] = max(live[size], count)
             counting += time.perf_counter() - tick
     elapsed = time.perf_counter() - start - counting
     return {
         "stats": stats,
         "held": held,
+        "nodes": nodes,
         "elapsed": elapsed,
         "total": total,
         "adjacency_failures": failures,
@@ -277,23 +283,28 @@ def test_criterion_08_delta_replay():
 
 
 def test_criterion_09_streaming_contract(run14, stats7):
-    stats, held = run14["stats"], run14["held"]
+    stats, held, nodes = run14["stats"], run14["held"], run14["nodes"]
     peak = max(held.values())
     total_held = sum(held.values())
+    node_peak = max(nodes.values())
     per_tree_14 = stats.vertex_writes / run14["total"]
     per_tree_7 = stats7.vertex_writes / stats7.emitted[7]
-    # Writes per tree grow linearly in n: 9.7 at n=7 and 18.9 at n=14, so
-    # 1.38 and 1.35 per vertex.  A quarter of margin keeps the bound at 24.1.
+    # Writes per tree grow linearly in n: 9.4 at n=7 and 18.0 at n=14, so
+    # 1.34 and 1.29 per vertex, nearly all of it the records themselves.  A
+    # quarter of margin keeps the bound at 23.5.
     budget = 1.25 * (14 / 7) * per_tree_7
     # The budget moves with the n=7 figure, so a regression by the same
     # factor at every size passes it (building each sibling twice did).  The
-    # cap pins n=14 itself: the measured 18.93 plus 10%.  vertex_writes
-    # counts materialized trees only: the two level tuples that prove each
-    # boundary, about 2n entries, are not in it.
+    # cap pins n=14 itself: 18.93 plus 10%, measured when the stack held
+    # tuples.  vertex_writes counts one entry per family-tree node and every
+    # entry of each OrderedTree built: the records and each block's parent.
     cap = 20.8
+    # The stack holds at most 4 live nodes of any size (Node.child shares
+    # the chain above each new node).
     ok = (
         peak <= 3
         and total_held <= 3 * 14
+        and node_peak <= 4
         and per_tree_14 <= budget
         and per_tree_14 <= cap
     )
@@ -301,10 +312,11 @@ def test_criterion_09_streaming_contract(run14, stats7):
         9,
         ok,
         f"live trees <=3 per size (peak {peak}, sum {total_held}<={3 * 14}); "
+        f"live nodes <=4 per size (peak {node_peak}, sum {sum(nodes.values())}); "
         f"writes/tree {per_tree_14:.1f} within budget {budget:.1f} "
         f"and cap {cap}",
     )
-    assert ok, dict(held)
+    assert ok, (dict(held), dict(nodes))
 
 
 def test_criterion_10_regression_snapshot():

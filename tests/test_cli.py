@@ -19,6 +19,7 @@ from treegray import (
     parse_tree,
 )
 from treegray.cli import _gen_lines, main
+from treegray.tree import Node
 
 
 def run(capsys, *argv):
@@ -94,16 +95,22 @@ def test_block_rendering_matches_each_record(fmt, checked):
 
 @pytest.mark.parametrize("fmt", ["levels", "parens"])
 def test_unchecked_gen_builds_no_tree_per_record(monkeypatch, fmt):
-    # Only the levels below the top build trees, one per tree of sizes
-    # 2..n-1; the records of size n are rendered from their parents.
+    # Only the levels below the top build trees, as family-tree nodes, one
+    # per tree of sizes 2..n-1; the records of size n are rendered from
+    # their parents, and no OrderedTree is built at all.
     calls = [0]
-    real = OrderedTree.child
+    real = Node.child
 
     def child(self, i):
         calls[0] += 1
         return real(self, i)
 
-    monkeypatch.setattr(OrderedTree, "child", child)
+    def no_tree(*args):
+        raise AssertionError("an OrderedTree was built")
+
+    monkeypatch.setattr(Node, "child", child)
+    monkeypatch.setattr(OrderedTree, "child", no_tree)
+    monkeypatch.setattr(OrderedTree, "_trusted", no_tree)
     for n in range(2, 11):
         calls[0] = 0
         assert sum(1 for _ in _gen_lines(n, fmt, False)) == catalan(n - 1)
@@ -154,6 +161,48 @@ def test_gen_deep_prefix(capsys):
         cur = apply_delta(cur, Delta.parse(line))
         replayed.append(str(cur))
     assert replayed == levels
+
+
+# Spawns `python -m treegray ARGS...` with stdout to /dev/null and prints its
+# exit code, its own peak RSS in kB (wait4 on its pid) and the wall seconds.
+_PEAK_RSS = """
+import os, sys, time
+out = os.open(os.devnull, os.O_WRONLY)
+argv = [sys.executable, "-m", "treegray", *sys.argv[1:]]
+start = time.perf_counter()
+pid = os.posix_spawn(
+    sys.executable, argv, os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, out, 1)]
+)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [(), ("--format", "delta"), ("--unchecked",)],
+    ids=["levels", "delta", "unchecked"],
+)
+def test_gen_deep_prefix_peak_rss(extra):
+    # The README promises O(n) memory for any prefix: the stack holds a
+    # few family-tree nodes per size, so n=5000 stays near the interpreter's
+    # own footprint (about 18 MB of it), where O(n) trees of n levels would
+    # take hundreds of MB.  The run is spawned from a fresh `python -S`,
+    # because Linux charges a spawned child's peak RSS with at least its
+    # parent's, and pytest's is large.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _PEAK_RSS, "gen", "--n", "5000", "--limit", "10"]
+        + list(extra),
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+        check=True,
+    )
+    code, peak_kb, _ = proc.stdout.split()
+    assert int(code) == 0, proc.stderr
+    assert int(peak_kb) < 30 * 1024
 
 
 @pytest.mark.parametrize("extra", [(), ("--unchecked",)])

@@ -26,6 +26,7 @@ from treegray import (
     is_adjacent,
 )
 from treegray.generator import _blocks
+from treegray.tree import Node
 
 
 T = lambda *levels: OrderedTree(levels)
@@ -157,7 +158,7 @@ def test_blocks_flatten_to_the_gray_code(checked, moves):
     for n in range(2, 10):
         flat = []
         for parent, order, move in _blocks(n, checked, moves, None):
-            children = [parent.child(i) for i in order]
+            children = [OrderedTree(parent.levels).child(i) for i in order]
             if flat and proven:
                 assert apply_delta(flat[-1], move) == children[0]
                 assert move == delta(flat[-1], children[0])
@@ -170,9 +171,10 @@ def test_blocks_flatten_to_the_gray_code(checked, moves):
 @pytest.mark.parametrize("moves", [False, True], ids=["trees", "moves"])
 @pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
 def test_walk_builds_no_tree_of_size_n(monkeypatch, checked, moves):
-    # The top level proves its boundaries on level tuples, so the walk that
-    # hands out the blocks builds no tree of the size it hands out.
-    real = OrderedTree.child
+    # The stack holds family-tree nodes and proves its boundaries on their
+    # suffixes, so the walk that hands out the blocks builds no OrderedTree
+    # at all, and one node per tree of sizes 2..n-1.
+    real = Node.child
     sizes = Counter()
 
     def child(self, i):
@@ -180,13 +182,19 @@ def test_walk_builds_no_tree_of_size_n(monkeypatch, checked, moves):
         sizes[t.size] += 1
         return t
 
-    monkeypatch.setattr(OrderedTree, "child", child)
+    def no_tree(*args):
+        raise AssertionError("an OrderedTree was built")
+
+    monkeypatch.setattr(Node, "child", child)
+    monkeypatch.setattr(OrderedTree, "child", no_tree)
+    monkeypatch.setattr(OrderedTree, "_trusted", no_tree)
     for n in range(2, 11):
         sizes.clear()
         for _ in _blocks(n, checked, moves, None):
             pass
         assert sizes[n] == 0, n
-        assert sum(sizes.values()) == sum(catalan(k - 1) for k in range(2, n)), n
+        for k in range(2, n):
+            assert sizes[k] == catalan(k - 1), (n, k)
 
 
 def test_deep_prefix_has_no_recursion_limit():
@@ -391,38 +399,48 @@ def test_stats_counters():
 
 
 def test_stats_vertex_writes_unchecked_is_one_tree_each():
-    # Every tree across the stack is written once, checked or not: the
-    # boundary proofs replay level tuples the stack already holds or, at the
-    # top, tuples built from the parents.
-    for n, want in ((6, 351), (8, 4707), (10, 66197)):
-        trees = sum(k * catalan(k - 1) for k in range(1, n + 1))
+    # Every tree below the top is written once, checked or not, as one node
+    # holding its last level; each top block writes its parent as a tree of
+    # size n - 1, and each record its n entries.  The boundary proofs read
+    # the nodes the stack holds.
+    for n, want in ((6, 345), (8, 4553), (10, 63546)):
+        nodes = sum(catalan(k - 1) for k in range(1, n))
+        trees = n * catalan(n - 1) + (n - 1) * catalan(n - 2)
         for checked in (False, True):
             stats = StreamStats()
             for _ in gray_code(n, checked=checked, stats=stats):
                 pass
-            assert stats.vertex_writes == trees == want, (n, checked)
+            assert stats.vertex_writes == nodes + trees == want, (n, checked)
 
 
 @pytest.mark.parametrize("moves", [False, True], ids=["trees", "moves"])
 @pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
 def test_stats_vertex_writes_match_the_trees_built(monkeypatch, checked, moves):
-    # Every tree past the root is built by OrderedTree.child, so the writes
-    # counted by hand are the sizes of the trees it returns, plus the root.
+    # The writes counted by hand are one per node the stack builds (the root
+    # and every child) and the size of every OrderedTree the stream builds.
     built = [0]
-    real = OrderedTree.child
+    node_child, root = Node.child, treegray.generator._root
+    tree_child, trusted = OrderedTree.child, OrderedTree._trusted.__func__
 
-    def child(self, i):
-        t = real(self, i)
-        built[0] += t.size
-        return t
+    def counted(make, writes):
+        def wrapped(*args):
+            t = make(*args)
+            built[0] += writes(t)
+            return t
 
-    monkeypatch.setattr(OrderedTree, "child", child)
+        return wrapped
+
+    one, size = (lambda t: 1), (lambda t: t.size)
+    monkeypatch.setattr(Node, "child", counted(node_child, one))
+    monkeypatch.setattr(treegray.generator, "_root", counted(root, one))
+    monkeypatch.setattr(OrderedTree, "child", counted(tree_child, size))
+    monkeypatch.setattr(OrderedTree, "_trusted", classmethod(counted(trusted, size)))
     for n in range(1, 11):
         built[0] = 0
         stats = StreamStats()
         for _ in gray_code(n, checked=checked, stats=stats, moves=moves):
             pass
-        assert stats.vertex_writes == built[0] + 1, n
+        assert stats.vertex_writes == built[0], n
 
 
 def test_stats_under_moves_count_records_and_boundary_trees():
@@ -433,10 +451,10 @@ def test_stats_under_moves_count_records_and_boundary_trees():
         pass
     assert moves.emitted == trees.emitted
     assert moves.case_counts == trees.case_counts
-    # Level 8 builds only its first tree; its boundaries are proven on level
-    # tuples.
-    below = sum(k * catalan(k - 1) for k in range(1, 8))
-    assert moves.vertex_writes == below + 8 == 1283
+    # Level 8 builds only its first tree, from its parent as a tree; its
+    # boundaries are proven on the nodes below it.
+    nodes = sum(catalan(k - 1) for k in range(1, 8))
+    assert moves.vertex_writes == nodes + 7 + 8 == 212
 
 
 def _drain(n, records, **kwargs):

@@ -24,9 +24,20 @@ from treegray import (
 )
 from treegray.oracle import VerificationReport, _windowed
 from treegray.ordering import plan_last, plan_step
+from treegray.tree import _nodes
 
 
 T = lambda *levels: OrderedTree(levels)
+
+
+def plan(cur, nxt, lm):
+    # plan_step on the nodes of two trees, built in one family tree as the
+    # generator builds its streams.
+    return plan_step(*_nodes(cur, nxt), lm)
+
+
+def plan_final(tree, lm):
+    return plan_last(*_nodes(tree), lm)
 
 
 def test_case_labels_complete():
@@ -36,17 +47,17 @@ def test_case_labels_complete():
 
 
 def test_classify_examples():
-    assert plan_step(T(1, 2, 2), T(1, 2, 3), 1)[0] is Case.C2B1
-    assert plan_step(T(1, 2, 3, 4), T(1, 2, 3, 3), 1)[0] is Case.C4A2
+    assert plan(T(1, 2, 2), T(1, 2, 3), 1)[0] is Case.C2B1
+    assert plan(T(1, 2, 3, 4), T(1, 2, 3, 3), 1)[0] is Case.C4A2
     # Mutual copying resolves to 3b1: subcases are tried in listing order.
-    assert plan_step(T(1, 2, 3), T(1, 2, 2), 1)[0] is Case.C3B1
-    assert plan_step(T(1, 2, 2, 2), T(1, 2, 3, 2), 2)[0] is Case.C1B
+    assert plan(T(1, 2, 3), T(1, 2, 2), 1)[0] is Case.C3B1
+    assert plan(T(1, 2, 2, 2), T(1, 2, 3, 2), 2)[0] is Case.C1B
 
 
 def test_classify_forbidden_raises(monkeypatch):
     # Forbidden labels come back with an empty order for the caller to count.
-    assert plan_step(T(1, 2, 3, 3), T(1, 2, 3, 2), 1) == (Case.C3A1, (), 0)
-    assert plan_step(T(1, 2, 3, 4), T(1, 2, 3, 3), 2) == (Case.C4B3, (), 0)
+    assert plan(T(1, 2, 3, 3), T(1, 2, 3, 2), 1) == (Case.C3A1, (), 0)
+    assert plan(T(1, 2, 3, 4), T(1, 2, 3, 3), 2) == (Case.C4B3, (), 0)
     monkeypatch.setattr(
         treegray.generator, "plan_step", lambda *args: (Case.C4B3, (), 0)
     )
@@ -60,11 +71,11 @@ def test_classify_forbidden_raises(monkeypatch):
 
 
 def test_step_case_2b1_example():
-    assert plan_step(T(1, 2, 2), T(1, 2, 3), 1) == (Case.C2B1, (1, 2), 2)
+    assert plan(T(1, 2, 2), T(1, 2, 3), 1) == (Case.C2B1, (1, 2), 2)
 
 
 def test_step_case_1b_orders_leftmost_first():
-    assert plan_step(T(1, 2, 2, 2), T(1, 2, 3, 2), 2) == (Case.C1B, (2, 1), 1)
+    assert plan(T(1, 2, 2, 2), T(1, 2, 3, 2), 2) == (Case.C1B, (2, 1), 1)
     assert is_adjacent(T(1, 2, 2, 2, 2), T(1, 2, 3, 2, 2))
 
 
@@ -82,7 +93,7 @@ def test_never_selected_branches_are_sound(cur, nxt, lm, want):
     # The streams never reach these branches (docs/label-reachability.md);
     # called directly, each orders all children from the given leftmost one
     # and ends on a child adjacent to the next tree's leftmost child.
-    case, order, nl = plan_step(cur, nxt, lm)
+    case, order, nl = plan(cur, nxt, lm)
     assert (case, order, nl) == want
     assert is_adjacent(cur, nxt)
     assert is_adjacent(cur.child(order[-1]), nxt.child(nl))
@@ -99,10 +110,10 @@ def test_case_3_copying_with_lm_1_is_3b1_or_3c1_other():
             if not is_adjacent(cur, nxt):
                 continue
             for lm in range(1, cur.rpl + 2):
-                assert plan_step(cur, nxt, lm)[0] is not Case.C3C1
+                assert plan(cur, nxt, lm)[0] is not Case.C3C1
             if nxt.rpl == 1 and has_pony_tail(cur) and is_copying(cur, nxt):
                 mutual = is_copying(nxt, cur)
-                case = plan_step(cur, nxt, 1)[0]
+                case = plan(cur, nxt, 1)[0]
                 assert case is (Case.C3B1 if mutual else Case.C3C1_OTHER)
                 seen.add(mutual)
     assert seen == {True, False}
@@ -114,7 +125,7 @@ def test_step_decision_invariants_over_full_runs():
         trees = list(gray_code(n))
         leftmost = trees[0].child(1)
         for cur, nxt in itertools.pairwise(trees):
-            case, order, nl = plan_step(cur, nxt, leftmost.rpl)
+            case, order, nl = plan(cur, nxt, leftmost.rpl)
             children = [cur.child(i) for i in order]
             leftmost_of_next = nxt.child(nl)
             assert case not in FORBIDDEN_CASES
@@ -131,13 +142,13 @@ def test_step_decision_invariants_over_full_runs():
 
 
 def test_finalize_last_examples():
-    assert plan_last(T(1, 2, 3), 2) == (2, 3, 1)
-    assert plan_last(T(1, 2), 1) == (1, 2)
-    assert plan_last(T(1), 1) == (1,)
+    assert plan_final(T(1, 2, 3), 2) == (2, 3, 1)
+    assert plan_final(T(1, 2), 1) == (1, 2)
+    assert plan_final(T(1), 1) == (1,)
 
 
 def test_finalize_last_decreasing_rpl_tail():
-    assert plan_last(T(1, 2, 3, 4), 2) == (2, 4, 3, 1)
+    assert plan_final(T(1, 2, 3, 4), 2) == (2, 4, 3, 1)
 
 
 def test_check_co1_examples():

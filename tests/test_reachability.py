@@ -26,6 +26,7 @@ from treegray import (
     is_copying,
 )
 from treegray.ordering import plan_step
+from treegray.tree import _nodes
 
 T = lambda *levels: OrderedTree(levels)
 
@@ -70,7 +71,7 @@ def _steps(k):
     generator carries it."""
     lm = 1
     for cur, nxt in itertools.pairwise(gray_code(k, checked=False)):
-        case, order, nl = plan_step(cur, nxt, lm)
+        case, order, nl = plan_step(*_nodes(cur, nxt), lm)
         yield cur, nxt, lm, case, order, nl
         lm = nl
 
@@ -161,7 +162,7 @@ def test_invariants_reject_each_excluded_label():
         "H6": (T(1, 2, 3, 4), T(1, 2, 3, 3), 2, Case.C4B3),
     }
     for name, (u, v, lm, case) in examples.items():
-        got, order, nl = plan_step(u, v, lm)
+        got, order, nl = plan_step(*_nodes(u, v), lm)
         assert got is case, name
         assert name in _invariant_failures(u, v, lm), name
         if case in TABLE:

@@ -19,6 +19,12 @@ from treegray import (
     is_copying,
 )
 from treegray.relations import _sibling_move, _sibling_move_lines
+from treegray.tree import _nodes
+
+
+def node(levels):
+    # The family-tree node of one tree, for the node forms of the relations.
+    return _nodes(OrderedTree(levels))[0]
 
 
 T = lambda *levels: OrderedTree(levels)
@@ -323,7 +329,7 @@ def test_delta_canonical_examples():
 def test_sibling_move_matches_delta():
     # Two children of one tree differ in the last entry only; the move
     # removes it and inserts the new level where its trailing run starts.
-    assert _sibling_move((1, 2, 3, 3), 3) == (5, 3, 3)
+    assert _sibling_move(node((1, 2, 3, 3)), 3) == (5, 3, 3)
     assert delta(T(1, 2, 3, 3, 2), T(1, 2, 3, 3, 3)) == Delta(5, 3, 3)
     pairs = 0
     for n in range(1, 8):
@@ -332,7 +338,7 @@ def test_sibling_move_matches_delta():
             for a in kids:
                 for b in kids:
                     if a != b:
-                        assert _sibling_move(p.levels, b.levels[-1]) == delta(a, b)
+                        assert _sibling_move(node(p.levels), b.levels[-1]) == delta(a, b)
                         pairs += 1
     assert pairs == 1608
 
@@ -349,8 +355,8 @@ def _sibling_move_dumb(parent, level):
 def _long_run_parents(draw):
     # A star, or a star hung below the root's one child, of size 3..300,
     # perhaps with one entry moved one level within two places of a multiple
-    # of 64 from the end, where _sibling_move's 64-entry comparisons meet;
-    # and the level of a new last leaf.
+    # of 64 from the end; and the level of a new last leaf.  The node's run
+    # must give the walk's result for runs of any length.
     n = draw(st.integers(min_value=3, max_value=300))
     base = draw(st.sampled_from((2, 3)))
     levels = [1, 2] + [base] * (n - 2)
@@ -367,11 +373,11 @@ def _long_run_parents(draw):
 @settings(max_examples=300)
 def test_sibling_move_matches_the_walk_across_chunk_boundaries(drawn):
     parent, level = drawn
-    assert _sibling_move(parent, level) == _sibling_move_dumb(parent, level)
+    assert _sibling_move(node(parent), level) == _sibling_move_dumb(parent, level)
     other = 2 if level != 2 else parent[-1] + 1
     if other != level:
         a, b = OrderedTree(parent + (other,)), OrderedTree(parent + (level,))
-        assert _sibling_move(parent, level) == delta(a, b)
+        assert _sibling_move(node(parent), level) == delta(a, b)
 
 
 @pytest.mark.parametrize(
@@ -380,11 +386,11 @@ def test_sibling_move_matches_the_walk_across_chunk_boundaries(drawn):
     ids=["run-to-the-root", "run-of-one-chunk"],
 )
 def test_sibling_move_stops_at_a_chunk_edge(parent, want):
-    # The trailing run is exactly one 64-entry comparison long and ends at
-    # the root, or at the broom's lone 2 just before it.
+    # The trailing run is 64 entries long and ends at the root, or at the
+    # broom's lone 2 just before it.
     level = parent[-1]
     assert _sibling_move_dumb(parent, level) == want
-    assert _sibling_move(parent, level) == want
+    assert _sibling_move(node(parent), level) == want
 
 
 def test_sibling_move_lines_match_str_of_sibling_moves():
@@ -392,8 +398,8 @@ def test_sibling_move_lines_match_str_of_sibling_moves():
     for n in range(2, 9):
         for p in enumerate_all(n - 1):
             order = range(1, p.rpl + 2)
-            want = [str(_sibling_move(p.levels, i + 1)) for i in order]
-            assert _sibling_move_lines(p.levels, order) == want
+            want = [str(_sibling_move(node(p.levels), i + 1)) for i in order]
+            assert _sibling_move_lines(node(p.levels), order) == want
 
 
 def test_delta_not_adjacent_raises():

@@ -18,7 +18,14 @@ from treegray import (
     parse_tree,
 )
 from treegray.cli import _gen_lines
-from treegray.tree import child_lines, child_parens
+from treegray.tree import (
+    Spliced,
+    _nodes,
+    child_lines,
+    child_parens,
+    level_piece,
+    paren_piece,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -31,7 +38,7 @@ def joined(tree):
 def assert_lines_match(parent, order):
     # One block: the children of parent in the given child-index order.
     trees = [parent.child(i) for i in order]
-    lines = child_lines(parent.levels, order)
+    lines = child_lines(Spliced(level_piece)(*_nodes(parent)), order)
     assert lines == [str(t) for t in trees] == list(map(joined, trees))
 
 
@@ -256,13 +263,24 @@ def test_level_lines_match_str_on_drawn_trees(drawn):
 
 def test_level_lines_render_the_head_again_for_non_siblings():
     # Reverse lexicographic order lists each parent's children in a row, so
-    # cutting it at each change of parent gives blocks of differing heads.
+    # cutting it at each change of parent gives blocks of differing heads,
+    # each spliced from the head before in one family tree.
     trees = list(enumerate_all(7))[::-1]
-    lines = []
-    for head, block in itertools.groupby(trees, key=lambda t: t.levels[:-1]):
-        lines += child_lines(head, [t.levels[-1] - 1 for t in block])
-    assert len({t.levels[:-1] for t in trees}) > 1
+    blocks = [
+        (OrderedTree(head), [t.levels[-1] - 1 for t in block])
+        for head, block in itertools.groupby(trees, key=lambda t: t.levels[:-1])
+    ]
+    nodes = _nodes(*[parent for parent, _ in blocks])
+    levels, parens = Spliced(level_piece), Spliced(paren_piece)
+    lines, codes = [], []
+    for node, (parent, order) in zip(nodes, blocks):
+        lines += child_lines(levels(node), order)
+        code = parens(node) + ")" * node.last
+        assert code == encode_parens(parent)
+        codes += child_parens(code, node.last, order)
+    assert len(blocks) > 1
     assert lines == [str(t) for t in trees] == list(map(joined, trees))
+    assert codes == list(map(encode_parens, trees))
 
 
 @given(deep_level_sequences())
@@ -282,16 +300,17 @@ def test_level_lines_memory_stays_linear_in_n():
     code = """
 import tracemalloc
 from treegray.generator import _blocks
-from treegray.tree import child_lines
+from treegray.tree import Spliced, child_lines, level_piece
 blocks, records = [], 0
 for parent, order, _ in _blocks(2000, False, False, None):
-    blocks.append((parent.levels, order))
+    blocks.append((parent, order))
     records += len(order)
     if records >= 1000:
         break
 tracemalloc.start()
-for head, order in blocks:
-    for _ in child_lines(head, order):
+head = Spliced(level_piece)
+for parent, order in blocks:
+    for _ in child_lines(head(parent), order):
         pass
 print(tracemalloc.get_traced_memory()[1])
 """
