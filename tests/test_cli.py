@@ -450,6 +450,41 @@ def test_generator_value_error_exits_1(broken_child_index, capsys, argv):
         assert err == f"error: {fault}\n"
 
 
+@pytest.mark.parametrize(
+    "fixture, fmt, checked, want",
+    [
+        ("broken_child_index", "levels", True, 23),
+        ("broken_child_index", "levels", False, 23),
+        ("broken_child_index", "parens", True, 23),
+        ("broken_child_index", "delta", True, 10),
+        ("broken_next_leftmost", "levels", True, 25),
+        ("broken_next_leftmost", "parens", True, 25),
+        ("broken_next_leftmost", "delta", True, 10),
+        ("forbidden_case", "levels", True, 21),
+        ("forbidden_case", "levels", False, 21),
+        ("forbidden_case", "parens", True, 21),
+        ("forbidden_case", "delta", True, 8),
+    ],
+)
+def test_gen_writes_every_record_before_a_generation_error(
+    request, capsys, fixture, fmt, checked, want
+):
+    # A fault stops gen between blocks: stdout holds every record that the
+    # generator yielded before it, and nothing more.
+    request.getfixturevalue(fixture)
+    n = 7 if fmt == "delta" else 8
+    render = encode_parens if fmt == "parens" else str
+    records = []
+    with pytest.raises((ValueError, RuntimeError)):
+        for record in gray_code(n, checked=checked, moves=fmt == "delta"):
+            records.append(render(record) + "\n")
+    argv = ["gen", "--n", str(n), "--format", fmt] + ([] if checked else ["--unchecked"])
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error: ")
+    assert len(records) == want
+    assert out == "".join(records)
+
+
 def test_dot_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.dot", tmp_path / "b.dot"
     assert run(capsys, "dot", "--n", "5", "--output", str(a))[0] == 0
