@@ -203,6 +203,19 @@ MUTANTS = [
         "child_lines(head(p), order) for",
         "child_lines(head(p), order[1:]) for",
     ),
+    # gen's writer: a block's first record, then its siblings in one write.
+    Mutant(
+        "limit-cut-keeps-one-record-too-many",
+        "src/treegray/cli.py",
+        "yield block[:limit]",
+        "yield block[:limit + 1]",
+    ),
+    Mutant(
+        "sibling-write-drops-its-final-newline",
+        "src/treegray/cli.py",
+        'write("\\n".join(block[1:]) + "\\n")',
+        'write("\\n".join(block[1:]))',
+    ),
     Mutant(
         "parens-suffix-off-by-one",
         "src/treegray/tree.py",

@@ -18,7 +18,7 @@ from treegray import (
     gray_code,
     parse_tree,
 )
-from treegray.cli import _gen_lines, main
+from treegray.cli import _gen_blocks, main
 from treegray.tree import Node
 
 
@@ -70,16 +70,64 @@ def test_gen_limit(capsys):
     assert code == 0 and out == ""
 
 
-def test_gen_limit_cuts_at_every_record(capsys):
+class _Recorder:
+    """Stands in for stdout: a write appends its text, a flush appends None."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return len(text)
+
+    def flush(self):
+        self.calls.append(None)
+
+
+def gen_writes(monkeypatch, *argv):
+    """gen's writes to stdout, in order; each must be flushed at once."""
+    out = _Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["gen", *argv]) == 0
+    writes = out.calls[::2]
+    assert out.calls[1::2] == [None] * len(writes)
+    return writes
+
+
+def test_gen_limit_cuts_at_every_record(monkeypatch):
     # n=6 has 42 records in 14 blocks, so the cut falls inside every block
-    # and at every block edge.
-    _, full, _ = run(capsys, "gen", "--n", "6")
-    lines = full.splitlines(keepends=True)
+    # and at every block edge.  The writes up to the cut are those of the
+    # full run, the last one cut short.
+    full = gen_writes(monkeypatch, "--n", "6")
+    lines = "".join(full).splitlines(keepends=True)
     assert len(lines) == 42
     for k in range(43):
-        code, out, _ = run(capsys, "gen", "--n", "6", "--limit", str(k))
-        assert code == 0
-        assert out == "".join(lines[:k]), k
+        writes = gen_writes(monkeypatch, "--n", "6", "--limit", str(k))
+        assert "".join(writes) == "".join(lines[:k]), k
+        assert writes[:-1] == full[: len(writes)][:-1], k
+
+
+@pytest.mark.parametrize("fmt", ["levels", "parens", "delta"])
+def test_gen_writes_a_blocks_first_record_then_its_siblings(monkeypatch, fmt):
+    # n=6 has 42 records in 14 blocks of 2 or more: one write for each
+    # block's first record, as soon as the block is planned, and one for the
+    # rest of the block.  In the levels format a block is the records that
+    # share every level but the last.  n=2 is one block of one record.
+    assert len(gen_writes(monkeypatch, "--n", "2", "--format", fmt)) == 1
+    writes = gen_writes(monkeypatch, "--n", "6", "--format", fmt)
+    assert len(writes) == 28
+    assert all(w.endswith("\n") for w in writes)
+    assert all(w.count("\n") == 1 for w in writes[::2])
+    digest = hashlib.sha256("".join(writes).encode("ascii")).hexdigest()
+    assert digest == GEN_DIGESTS[fmt][6 - 2]
+    levels = gen_writes(monkeypatch, "--n", "6")
+    assert [w.count("\n") for w in writes] == [w.count("\n") for w in levels]
+    heads = [
+        {line.rsplit(",", 1)[0] for line in (first + rest).splitlines()}
+        for first, rest in zip(levels[::2], levels[1::2])
+    ]
+    assert all(len(h) == 1 for h in heads)
+    assert all(a != b for a, b in zip(heads, heads[1:]))
 
 
 @pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"])
@@ -90,7 +138,8 @@ def test_block_rendering_matches_each_record(fmt, checked):
     render = encode_parens if fmt == "parens" else str
     for n in range(1, 12):
         records = gray_code(n, checked=checked, moves=fmt == "delta")
-        assert list(_gen_lines(n, fmt, checked)) == list(map(render, records)), n
+        lines = [line for block in _gen_blocks(n, fmt, checked) for line in block]
+        assert lines == list(map(render, records)), n
 
 
 @pytest.mark.parametrize("fmt", ["levels", "parens"])
@@ -113,7 +162,7 @@ def test_unchecked_gen_builds_no_tree_per_record(monkeypatch, fmt):
     monkeypatch.setattr(OrderedTree, "_trusted", no_tree)
     for n in range(2, 11):
         calls[0] = 0
-        assert sum(1 for _ in _gen_lines(n, fmt, False)) == catalan(n - 1)
+        assert sum(map(len, _gen_blocks(n, fmt, False))) == catalan(n - 1)
         assert calls[0] == sum(catalan(k - 1) for k in range(2, n)), n
 
 
@@ -351,10 +400,15 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
-def test_gen_into_closed_pipe_exits_0():
-    # The reader takes one line and closes the pipe, as `head -1` would.
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["write-through", "buffered"])
+def test_gen_into_closed_pipe_exits_0(unbuffered):
+    # The reader takes one line and closes the pipe, as `head -1` would,
+    # both when stdout writes straight through and when it is buffered.
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with subprocess.Popen(
         [sys.executable, "-m", "treegray", "gen", "--n", "12"],
         stdout=subprocess.PIPE,

@@ -17,7 +17,7 @@ from treegray import (
     gray_code,
     parse_tree,
 )
-from treegray.cli import _gen_lines
+from treegray.cli import _gen_blocks
 from treegray.tree import (
     Spliced,
     _nodes,
@@ -245,7 +245,8 @@ def test_str_matches_joined_entries(t):
 def test_level_lines_match_str_on_the_gray_code(n):
     # gen renders every block from its parent's text once.
     trees = list(gray_code(n, checked=False))
-    assert list(_gen_lines(n, "levels", False)) == [str(t) for t in trees]
+    lines = [line for block in _gen_blocks(n, "levels", False) for line in block]
+    assert lines == [str(t) for t in trees]
     assert [str(t) for t in trees] == list(map(joined, trees))
 
 
