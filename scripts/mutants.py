@@ -203,18 +203,18 @@ MUTANTS = [
         "child_lines(head(p), order) for",
         "child_lines(head(p), order[1:]) for",
     ),
-    # gen's writer: a block's first record, then its siblings in one write.
+    # gen's writes: a block's first record, then its siblings in one write.
     Mutant(
         "limit-cut-keeps-one-record-too-many",
         "src/treegray/cli.py",
-        "yield block[:limit]",
-        "yield block[:limit + 1]",
+        "yield lines[:limit]",
+        "yield lines[:limit + 1]",
     ),
     Mutant(
         "sibling-write-drops-its-final-newline",
         "src/treegray/cli.py",
-        'write("\\n".join(block[1:]) + "\\n")',
-        'write("\\n".join(block[1:]))',
+        'write("\\n".join(lines) + "\\n")',
+        'write("\\n".join(lines))',
     ),
     Mutant(
         "parens-suffix-off-by-one",

@@ -89,66 +89,80 @@ def _fail(exc: Exception) -> int:
     return 1
 
 
-def _gen_blocks(n: int, fmt: str, checked: bool) -> Iterator[list[str]]:
-    """The lines of gen's output, one list per family-tree block."""
+def _gen_writes(n: int, fmt: str, checked: bool) -> Iterator[list[str]]:
+    """The lines of each of gen's writes: two per family-tree block, its first
+    record alone and then the rest of the block (one for a block of one).
+
+    Each list is made only when it is asked for, so a block's first record
+    is out before its siblings cost anything that can wait.
+    """
     if n == 1:  # the one tree of size 1 has no parent, so it is no block
-        return iter([list(map(encode_parens if fmt == "parens" else str, gray_code(1)))])
+        render = encode_parens if fmt == "parens" else str
+        return iter([[render(t) for t in gray_code(1)]])
     blocks = _blocks(n, checked, fmt == "delta", None)
     if fmt == "delta":
-        return _delta_blocks(blocks)
+        return _delta_writes(blocks)
     if fmt == "levels":
         head = Spliced(level_piece)
-        return (child_lines(head(p), order) for p, order, _ in blocks)
-    head = Spliced(paren_piece)
-    return (
-        child_parens(head(p) + ")" * p.last, p.last, order) for p, order, _ in blocks
-    )
+        lines = (child_lines(head(p), order) for p, order, _ in blocks)
+    else:
+        head = Spliced(paren_piece)
+        lines = (
+            child_parens(head(p) + ")" * p.last, p.last, order)
+            for p, order, _ in blocks
+        )
+    return _split(lines)
 
 
-def _delta_blocks(blocks: Iterator[Block]) -> Iterator[list[str]]:
+def _split(blocks: Iterator[list[str]]) -> Iterator[list[str]]:
+    # child_lines and child_parens render a whole block in one comprehension,
+    # a few f-strings, so a block's first record waits for no more than that.
+    for lines in blocks:
+        yield lines[:1]
+        if len(lines) > 1:
+            yield lines[1:]
+
+
+def _delta_writes(blocks: Iterator[Block]) -> Iterator[list[str]]:
     # The first tree in levels form, then each block's boundary move and the
     # moves between its siblings.
     for parent, order, move in blocks:
         if move is None:
-            first = str(OrderedTree._trusted(parent.levels).child(order[0]))
+            yield [str(OrderedTree._trusted(parent.levels).child(order[0]))]
         else:
-            first = str(move)
-        lines = _sibling_move_lines(parent, order[1:])
-        lines.insert(0, first)
+            yield [str(move)]
+        if len(order) > 1:
+            yield _sibling_move_lines(parent, order[1:])
+
+
+def _limited(writes: Iterator[list[str]], limit: int) -> Iterator[list[str]]:
+    # The writes that hold the first `limit` lines, the last one cut; no
+    # write after the cut is asked for.
+    if limit == 0:
+        return
+    for lines in writes:
+        if len(lines) >= limit:
+            yield lines[:limit]
+            return
+        limit -= len(lines)
         yield lines
 
 
-def _limited(blocks: Iterator[list[str]], limit: int) -> Iterator[list[str]]:
-    # The blocks that hold the first `limit` lines, the last one cut; no
-    # block after the cut is asked for.
-    if limit == 0:
-        return
-    for block in blocks:
-        if len(block) >= limit:
-            yield block[:limit]
-            return
-        limit -= len(block)
-        yield block
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
-    blocks = _gen_blocks(args.n, args.format, not args.unchecked)
+    writes = _gen_writes(args.n, args.format, not args.unchecked)
     if args.limit is not None:
-        blocks = _limited(blocks, args.limit)
+        writes = _limited(writes, args.limit)
     with _open_output(args.output) as out:
-        # Two writes per block, each flushed: the block's first record alone,
-        # then its siblings joined into one.  A reader that times its reads
-        # so sees a block's start as the wait for its first record; one write
-        # per block would spread that wait over all of the block's records
-        # (deep-prefix's median gap rose by about 60% in bench/run.py).
+        # Each write is flushed.  One write per record was the largest cost
+        # of gen.  One write per block would spread the wait for a block's
+        # start over all of its records, as a reader that times its reads
+        # sees them: deep-prefix's median gap in bench/run.py was 2 to 3
+        # times as long.
         write, flush = out.write, out.flush
         try:
-            for block in blocks:
-                write(block[0] + "\n")
+            for lines in writes:
+                write("\n".join(lines) + "\n")
                 flush()
-                if len(block) > 1:
-                    write("\n".join(block[1:]) + "\n")
-                    flush()
         except ValueError as exc:
             return _fail(exc)
     return 0

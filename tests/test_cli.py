@@ -18,7 +18,7 @@ from treegray import (
     gray_code,
     parse_tree,
 )
-from treegray.cli import _gen_blocks, main
+from treegray.cli import _gen_writes, main
 from treegray.tree import Node
 
 
@@ -130,6 +130,25 @@ def test_gen_writes_a_blocks_first_record_then_its_siblings(monkeypatch, fmt):
     assert all(a != b for a, b in zip(heads, heads[1:]))
 
 
+def test_gen_delta_writes_each_boundary_move_before_the_sibling_moves(monkeypatch):
+    # A delta block's first record is its boundary move, known once the
+    # block is planned: it is written and flushed before the moves between
+    # the siblings are rendered.  Block b of n=6 (14 blocks of 2 or more)
+    # renders them after 2b + 1 writes and as many flushes.
+    out = _Recorder()
+    real = treegray.cli._sibling_move_lines
+    seen = []
+
+    def sibling_move_lines(parent, order):
+        seen.append(len(out.calls))
+        return real(parent, order)
+
+    monkeypatch.setattr(treegray.cli, "_sibling_move_lines", sibling_move_lines)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["gen", "--n", "6", "--format", "delta"]) == 0
+    assert seen == [4 * b + 2 for b in range(14)]
+
+
 @pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"])
 @pytest.mark.parametrize("fmt", ["levels", "parens", "delta"])
 def test_block_rendering_matches_each_record(fmt, checked):
@@ -138,7 +157,7 @@ def test_block_rendering_matches_each_record(fmt, checked):
     render = encode_parens if fmt == "parens" else str
     for n in range(1, 12):
         records = gray_code(n, checked=checked, moves=fmt == "delta")
-        lines = [line for block in _gen_blocks(n, fmt, checked) for line in block]
+        lines = [line for w in _gen_writes(n, fmt, checked) for line in w]
         assert lines == list(map(render, records)), n
 
 
@@ -162,7 +181,7 @@ def test_unchecked_gen_builds_no_tree_per_record(monkeypatch, fmt):
     monkeypatch.setattr(OrderedTree, "_trusted", no_tree)
     for n in range(2, 11):
         calls[0] = 0
-        assert sum(map(len, _gen_blocks(n, fmt, False))) == catalan(n - 1)
+        assert sum(map(len, _gen_writes(n, fmt, False))) == catalan(n - 1)
         assert calls[0] == sum(catalan(k - 1) for k in range(2, n)), n
 
 
@@ -524,7 +543,8 @@ def test_gen_writes_every_record_before_a_generation_error(
     request, capsys, fixture, fmt, checked, want
 ):
     # A fault stops gen between blocks: stdout holds every record that the
-    # generator yielded before it, and nothing more.
+    # generator yielded before it, and nothing more.  A --limit cut there
+    # asks for no block after it, so it meets no fault.
     request.getfixturevalue(fixture)
     n = 7 if fmt == "delta" else 8
     render = encode_parens if fmt == "parens" else str
@@ -537,6 +557,7 @@ def test_gen_writes_every_record_before_a_generation_error(
     assert code == 1 and err.startswith("error: ")
     assert len(records) == want
     assert out == "".join(records)
+    assert run(capsys, *argv, "--limit", str(want)) == (0, out, "")
 
 
 def test_dot_deterministic(tmp_path, capsys):

@@ -17,7 +17,7 @@ from treegray import (
     gray_code,
     parse_tree,
 )
-from treegray.cli import _gen_blocks
+from treegray.cli import _gen_writes
 from treegray.tree import (
     Spliced,
     _nodes,
@@ -245,7 +245,7 @@ def test_str_matches_joined_entries(t):
 def test_level_lines_match_str_on_the_gray_code(n):
     # gen renders every block from its parent's text once.
     trees = list(gray_code(n, checked=False))
-    lines = [line for block in _gen_blocks(n, "levels", False) for line in block]
+    lines = [line for w in _gen_writes(n, "levels", False) for line in w]
     assert lines == [str(t) for t in trees]
     assert [str(t) for t in trees] == list(map(joined, trees))
 
