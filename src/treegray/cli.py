@@ -11,6 +11,8 @@ block's parent, a family-tree node, is rendered once, spliced from the
 parent before by tree.Spliced for the levels and parens formats, and each
 record adds a short suffix; in the delta format each sibling move comes from
 relations._sibling_move_lines, which reads the parent's last level and run.
+Each block is written in two writes, its first record alone and then the
+rest of the block.
 """
 from __future__ import annotations
 
@@ -93,8 +95,9 @@ def _gen_writes(n: int, fmt: str, checked: bool) -> Iterator[list[str]]:
     """The lines of each of gen's writes: two per family-tree block, its first
     record alone and then the rest of the block (one for a block of one).
 
-    Each list is made only when it is asked for, so a block's first record
-    is out before its siblings cost anything that can wait.
+    Each list is made only when it is asked for: a delta block's first
+    record, its boundary move, is written before the moves between its
+    siblings are rendered.
     """
     if n == 1:  # the one tree of size 1 has no parent, so it is no block
         render = encode_parens if fmt == "parens" else str
@@ -153,11 +156,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.limit is not None:
         writes = _limited(writes, args.limit)
     with _open_output(args.output) as out:
-        # Each write is flushed.  One write per record was the largest cost
-        # of gen.  One write per block would spread the wait for a block's
-        # start over all of its records, as a reader that times its reads
-        # sees them: deep-prefix's median gap in bench/run.py was 2 to 3
-        # times as long.
+        # Each write is flushed.  A write per record would cost a syscall
+        # each, the largest cost of gen into a pipe.  One write per block
+        # would spread the wait for a block's start over all of its records,
+        # as a reader that times its reads sees them: deep-prefix's median
+        # gap in bench/run.py was 2 to 3 times as long.
         write, flush = out.write, out.flush
         try:
             for lines in writes:
