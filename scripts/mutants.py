@@ -211,7 +211,7 @@ MUTANTS = [
         "yield lines[:limit + 1]",
     ),
     Mutant(
-        "sibling-write-drops-its-final-newline",
+        "write-drops-its-final-newline",
         "src/treegray/cli.py",
         'write("\\n".join(lines) + "\\n")',
         'write("\\n".join(lines))',

@@ -84,7 +84,7 @@ class _Recorder:
         self.calls.append(None)
 
 
-def gen_writes(monkeypatch, *argv):
+def recorded_writes(monkeypatch, *argv):
     """gen's writes to stdout, in order; each must be flushed at once."""
     out = _Recorder()
     monkeypatch.setattr(sys, "stdout", out)
@@ -98,11 +98,11 @@ def test_gen_limit_cuts_at_every_record(monkeypatch):
     # n=6 has 42 records in 14 blocks, so the cut falls inside every block
     # and at every block edge.  The writes up to the cut are those of the
     # full run, the last one cut short.
-    full = gen_writes(monkeypatch, "--n", "6")
+    full = recorded_writes(monkeypatch, "--n", "6")
     lines = "".join(full).splitlines(keepends=True)
     assert len(lines) == 42
     for k in range(43):
-        writes = gen_writes(monkeypatch, "--n", "6", "--limit", str(k))
+        writes = recorded_writes(monkeypatch, "--n", "6", "--limit", str(k))
         assert "".join(writes) == "".join(lines[:k]), k
         assert writes[:-1] == full[: len(writes)][:-1], k
 
@@ -113,14 +113,14 @@ def test_gen_writes_a_blocks_first_record_then_its_siblings(monkeypatch, fmt):
     # block's first record, as soon as the block is planned, and one for the
     # rest of the block.  In the levels format a block is the records that
     # share every level but the last.  n=2 is one block of one record.
-    assert len(gen_writes(monkeypatch, "--n", "2", "--format", fmt)) == 1
-    writes = gen_writes(monkeypatch, "--n", "6", "--format", fmt)
+    assert len(recorded_writes(monkeypatch, "--n", "2", "--format", fmt)) == 1
+    writes = recorded_writes(monkeypatch, "--n", "6", "--format", fmt)
     assert len(writes) == 28
     assert all(w.endswith("\n") for w in writes)
     assert all(w.count("\n") == 1 for w in writes[::2])
     digest = hashlib.sha256("".join(writes).encode("ascii")).hexdigest()
     assert digest == GEN_DIGESTS[fmt][6 - 2]
-    levels = gen_writes(monkeypatch, "--n", "6")
+    levels = recorded_writes(monkeypatch, "--n", "6")
     assert [w.count("\n") for w in writes] == [w.count("\n") for w in levels]
     heads = [
         {line.rsplit(",", 1)[0] for line in (first + rest).splitlines()}
