@@ -196,25 +196,43 @@ MUTANTS = [
         "grown[s - 63 : s + 1] == ul[s - 64 : s]",
         "grown[s - 62 : s + 2] == ul[s - 63 : s + 1]",
     ),
-    # Block rendering.
+    # Block rendering: each write is one string.
     Mutant(
         "levels-renderer-drops-each-first-child",
         "src/treegray/cli.py",
         "child_lines(head(p), order) for",
         "child_lines(head(p), order[1:]) for",
     ),
+    Mutant(
+        "level-ends-cache-drops-the-second-child",
+        "src/treegray/tree.py",
+        'return ends[0], ("", *ends[1:])',
+        'return ends[0], ("", *ends[2:])',
+    ),
+    Mutant(
+        "level-ends-not-shared",
+        "src/treegray/tree.py",
+        'ends = [intern(f"{i + 1}\\n") for i in order]',
+        'ends = [f"{i + 1}\\n" for i in order]',
+    ),
     # gen's writes: a block's first record, then its siblings in one write.
     Mutant(
         "limit-cut-keeps-one-record-too-many",
         "src/treegray/cli.py",
-        "yield lines[:limit]",
-        "yield lines[:limit + 1]",
+        "text.splitlines(keepends=True)[:limit]",
+        "text.splitlines(keepends=True)[:limit + 1]",
+    ),
+    Mutant(
+        "limit-cut-one-newline-short",
+        "src/treegray/cli.py",
+        "text.splitlines(keepends=True)[:limit]",
+        "text.splitlines(keepends=True)[:limit - 1]",
     ),
     Mutant(
         "write-drops-its-final-newline",
         "src/treegray/cli.py",
-        'write("\\n".join(lines) + "\\n")',
-        'write("\\n".join(lines))',
+        'yield "%d %d %d\\n" % move',
+        'yield "%d %d %d" % move',
     ),
     Mutant(
         "parens-suffix-off-by-one",
@@ -225,7 +243,7 @@ MUTANTS = [
     Mutant(
         "delta-table-for-the-repeated-level",
         "src/treegray/relations.py",
-        "texts[i] if i != same else str(_sibling_move(parent, i + 1))",
+        "texts[i] if i != same else move % _sibling_move(parent, i + 1)",
         "texts[i]",
     ),
 ]

@@ -8,11 +8,11 @@ while gen or dot is writing is a generation failure, not a usage error.
 
 gen renders its records block by block from generator._blocks: each
 block's parent, a family-tree node, is rendered once, spliced from the
-parent before by tree.Spliced for the levels and parens formats, and each
-record adds a short suffix; in the delta format each sibling move comes from
-relations._sibling_move_lines, which reads the parent's last level and run.
-Each block is written in two writes, its first record alone and then the
-rest of the block.
+parent before by tree.Spliced for the levels and parens formats, and its
+siblings are one join of that text; in the delta format the sibling moves
+are one string from relations._sibling_move_lines, which reads the parent's
+last level and run.  Each block is written in two writes, each one string:
+its first record alone and then the rest of the block.
 """
 from __future__ import annotations
 
@@ -91,64 +91,56 @@ def _fail(exc: Exception) -> int:
     return 1
 
 
-def _gen_writes(n: int, fmt: str, checked: bool) -> Iterator[list[str]]:
-    """The lines of each of gen's writes: two per family-tree block, its first
+def _gen_writes(n: int, fmt: str, checked: bool) -> Iterator[str]:
+    """Each of gen's writes as one string: two per family-tree block, its first
     record alone and then the rest of the block (one for a block of one).
 
-    Each list is made only when it is asked for: a delta block's first
-    record, its boundary move, is written before the moves between its
-    siblings are rendered.
+    A levels or parens block is rendered whole before its first write.  A
+    delta block's first record, its boundary move, is written before the
+    moves between its siblings are rendered.
     """
     if n == 1:  # the one tree of size 1 has no parent, so it is no block
         render = encode_parens if fmt == "parens" else str
-        return iter([[render(t) for t in gray_code(1)]])
+        return (render(t) + "\n" for t in gray_code(1))
     blocks = _blocks(n, checked, fmt == "delta", None)
     if fmt == "delta":
         return _delta_writes(blocks)
     if fmt == "levels":
         head = Spliced(level_piece)
-        lines = (child_lines(head(p), order) for p, order, _ in blocks)
+        rendered = (child_lines(head(p), order) for p, order, _ in blocks)
     else:
         head = Spliced(paren_piece)
-        lines = (
+        rendered = (
             child_parens(head(p) + ")" * p.last, p.last, order)
             for p, order, _ in blocks
         )
-    return _split(lines)
+    return (text for first_rest in rendered for text in first_rest if text)
 
 
-def _split(blocks: Iterator[list[str]]) -> Iterator[list[str]]:
-    # child_lines and child_parens render a whole block in one comprehension,
-    # a few f-strings, so a block's first record waits for no more than that.
-    for lines in blocks:
-        yield lines[:1]
-        if len(lines) > 1:
-            yield lines[1:]
-
-
-def _delta_writes(blocks: Iterator[Block]) -> Iterator[list[str]]:
+def _delta_writes(blocks: Iterator[Block]) -> Iterator[str]:
     # The first tree in levels form, then each block's boundary move and the
     # moves between its siblings.
     for parent, order, move in blocks:
         if move is None:
-            yield [str(OrderedTree._trusted(parent.levels).child(order[0]))]
+            yield f"{OrderedTree._trusted(parent.levels).child(order[0])}\n"
         else:
-            yield [str(move)]
+            yield "%d %d %d\n" % move
         if len(order) > 1:
             yield _sibling_move_lines(parent, order[1:])
 
 
-def _limited(writes: Iterator[list[str]], limit: int) -> Iterator[list[str]]:
-    # The writes that hold the first `limit` lines, the last one cut; no
-    # write after the cut is asked for.
+def _limited(writes: Iterator[str], limit: int) -> Iterator[str]:
+    # The writes that hold the first `limit` lines, the last one cut after
+    # its limit-th line; no write after the cut is asked for.
     if limit == 0:
         return
-    for lines in writes:
-        if len(lines) >= limit:
-            yield lines[:limit]
+    for text in writes:
+        lines = text.count("\n")
+        if lines >= limit:
+            yield "".join(text.splitlines(keepends=True)[:limit])
             return
-        limit -= len(lines)
-        yield lines
+        limit -= lines
+        yield text
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -156,15 +148,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.limit is not None:
         writes = _limited(writes, args.limit)
     with _open_output(args.output) as out:
-        # Each write is flushed.  A write per record would cost a syscall
-        # each, the largest cost of gen into a pipe.  One write per block
-        # would spread the wait for a block's start over all of its records,
-        # as a reader that times its reads sees them: deep-prefix's median
-        # gap in bench/run.py was 2 to 3 times as long.
+        # Each write, one string, is flushed.  A write per record would cost
+        # a syscall each, the largest cost of gen into a pipe.  One write per
+        # block would spread the wait for a block's start over all of its
+        # records, as a reader that times its reads sees them: deep-prefix's
+        # median gap in bench/run.py was 2 to 3 times as long.
         write, flush = out.write, out.flush
         try:
-            for lines in writes:
-                write("\n".join(lines) + "\n")
+            for text in writes:
+                write(text)
                 flush()
         except ValueError as exc:
             return _fail(exc)

@@ -444,6 +444,6 @@ def _dot(n: int) -> Iterator[str]:
         for parent, order, _ in _blocks(k, False, False, None):
             last = parent.last
             source = head(parent) + ")" * last
-            for target in child_parens(source, last, order):
+            for target in "".join(child_parens(source, last, order)).splitlines():
                 yield f'  "{source}" -> "{target}";\n'
     yield "}\n"

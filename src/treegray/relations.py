@@ -156,21 +156,24 @@ def _sibling_move(parent: Node, level: int) -> Delta:
 
 @lru_cache(maxsize=None)
 def _sibling_texts(n: int) -> tuple[str, ...]:
-    # At index i, (n, n, i + 1) as text: the move to a child of size n whose
-    # new leaf at level i + 1 does not repeat its parent's last level, so the
-    # trailing run of i + 1 is that leaf alone.
-    return tuple(f"{n} {n} {i + 1}" for i in range(n))
+    # At index i, the line of (n, n, i + 1): the move to a child of size n
+    # whose new leaf at level i + 1 does not repeat its parent's last level,
+    # so the trailing run of i + 1 is that leaf alone.
+    return tuple(f"{n} {n} {i + 1}\n" for i in range(n))
 
 
-def _sibling_move_lines(parent: Node, order: Iterable[int]) -> list[str]:
-    """str(_sibling_move(parent, i + 1)) for each child index i in order.
+def _sibling_move_lines(parent: Node, order: Iterable[int]) -> str:
+    """str(_sibling_move(parent, i + 1)) as a line for each i in order, joined.
 
     Only the child whose new leaf repeats parent's last level has a move of
     its own; every other move is read from a per-size table.
     """
     texts = _sibling_texts(parent.size + 1)
     same = parent.last - 1
-    return [texts[i] if i != same else str(_sibling_move(parent, i + 1)) for i in order]
+    move = "%d %d %d\n"
+    return "".join(
+        [texts[i] if i != same else move % _sibling_move(parent, i + 1) for i in order]
+    )
 
 
 def _copying(t: Node, u: Node) -> bool:

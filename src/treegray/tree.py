@@ -9,7 +9,7 @@ This module owns both text formats: the comma-separated level sequence
 (``str(tree)``) and the balanced parentheses (``encode_parens``/
 ``decode_parens``).  ``child_lines`` and ``child_parens`` render all the
 children of one tree in either format from the tree's own text, so a block
-of siblings costs one rendering of their parent plus one short suffix each.
+of siblings costs one rendering of their parent and one join of it.
 
 ``Node`` holds a tree as a node of the family tree (a tree's parent is
 itself minus its rightmost leaf): the node of its parent plus its last
@@ -18,6 +18,8 @@ stream of them, each from the text of the one before.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+from sys import intern
 from typing import Callable, Iterable, Optional
 
 
@@ -288,19 +290,29 @@ def _text(levels: tuple[int, ...]) -> str:
         return "".join([entries[v] for v in levels])
 
 
-def child_lines(head: str, order: Iterable[int]) -> list[str]:
-    """``str(tree.child(i))`` for each child index i in order, where head is
-    the text of ``tree`` plus a trailing comma (Spliced(level_piece)).
+def child_lines(head: str, order: tuple[int, ...]) -> tuple[str, str]:
+    """The lines ``str(tree.child(i))`` for child indices i in order: the first
+    alone, then the rest ("" if none); head is ``str(tree)`` plus a comma.
 
     The children of one tree share every level but the last, so the head is
     rendered once and each child adds its last level, i + 1.
     """
-    return [f"{head}{i + 1}" for i in order]
+    first, rest = _level_ends(order)
+    return head + first, head.join(rest)
 
 
-def child_parens(code: str, last: int, order: Iterable[int]) -> list[str]:
-    """``encode_parens(tree.child(i))`` for each child index i in order, where
-    code is ``encode_parens(tree)`` and last is the tree's last level.
+# The ends "v\n" of a block's lines in order, the first apart, for head.join.
+# Each is interned, one string per value; at most 256 orders are kept, as in
+# ordering._order (a run at n=13 uses 96).
+@lru_cache(maxsize=256)
+def _level_ends(order: tuple[int, ...]) -> tuple[str, tuple[str, ...]]:
+    ends = [intern(f"{i + 1}\n") for i in order]
+    return ends[0], ("", *ends[1:])
+
+
+def child_parens(code: str, last: int, order: tuple[int, ...]) -> tuple[str, str]:
+    """``encode_parens(tree.child(i))`` for child indices i in order, split as
+    by child_lines; code is ``encode_parens(tree)``, last the tree's last level.
 
     code ends with the ``last`` closing parens of the rightmost path.  The
     new leaf at level v = i + 1 hangs below the level-i vertex of that path,
@@ -308,7 +320,8 @@ def child_parens(code: str, last: int, order: Iterable[int]) -> list[str]:
     the leaf and the v - 1 vertices above it.
     """
     head = code[:-last]
-    return [f"{head}{')' * (last - i)}({')' * (i + 1)}" for i in order]
+    ends = [f"{')' * (last - i)}({')' * (i + 1)}\n" for i in order]
+    return head + ends[0], head.join(["", *ends[1:]])
 
 
 def encode_parens(tree: OrderedTree) -> str:

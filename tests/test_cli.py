@@ -157,7 +157,7 @@ def test_block_rendering_matches_each_record(fmt, checked):
     render = encode_parens if fmt == "parens" else str
     for n in range(1, 12):
         records = gray_code(n, checked=checked, moves=fmt == "delta")
-        lines = [line for w in _gen_writes(n, fmt, checked) for line in w]
+        lines = "".join(_gen_writes(n, fmt, checked)).splitlines()
         assert lines == list(map(render, records)), n
 
 
@@ -181,7 +181,7 @@ def test_unchecked_gen_builds_no_tree_per_record(monkeypatch, fmt):
     monkeypatch.setattr(OrderedTree, "_trusted", no_tree)
     for n in range(2, 11):
         calls[0] = 0
-        assert sum(map(len, _gen_writes(n, fmt, False))) == catalan(n - 1)
+        assert sum(w.count("\n") for w in _gen_writes(n, fmt, False)) == catalan(n - 1)
         assert calls[0] == sum(catalan(k - 1) for k in range(2, n)), n
 
 

@@ -399,7 +399,8 @@ def test_sibling_move_lines_match_str_of_sibling_moves():
         for p in enumerate_all(n - 1):
             order = range(1, p.rpl + 2)
             want = [str(_sibling_move(node(p.levels), i + 1)) for i in order]
-            assert _sibling_move_lines(node(p.levels), order) == want
+            lines = _sibling_move_lines(node(p.levels), order)
+            assert lines.endswith("\n") and lines.splitlines() == want
 
 
 def test_delta_not_adjacent_raises():

@@ -18,8 +18,10 @@ from treegray import (
     parse_tree,
 )
 from treegray.cli import _gen_writes
+from treegray.generator import _blocks
 from treegray.tree import (
     Spliced,
+    _level_ends,
     _nodes,
     child_lines,
     child_parens,
@@ -38,7 +40,9 @@ def joined(tree):
 def assert_lines_match(parent, order):
     # One block: the children of parent in the given child-index order.
     trees = [parent.child(i) for i in order]
-    lines = child_lines(Spliced(level_piece)(*_nodes(parent)), order)
+    first, rest = child_lines(Spliced(level_piece)(*_nodes(parent)), tuple(order))
+    assert first.count("\n") == 1 and rest.endswith("\n") == (len(order) > 1)
+    lines = (first + rest).splitlines()
     assert lines == [str(t) for t in trees] == list(map(joined, trees))
 
 
@@ -245,7 +249,7 @@ def test_str_matches_joined_entries(t):
 def test_level_lines_match_str_on_the_gray_code(n):
     # gen renders every block from its parent's text once.
     trees = list(gray_code(n, checked=False))
-    lines = [line for w in _gen_writes(n, "levels", False) for line in w]
+    lines = "".join(_gen_writes(n, "levels", False)).splitlines()
     assert lines == [str(t) for t in trees]
     assert [str(t) for t in trees] == list(map(joined, trees))
 
@@ -275,10 +279,10 @@ def test_level_lines_render_the_head_again_for_non_siblings():
     levels, parens = Spliced(level_piece), Spliced(paren_piece)
     lines, codes = [], []
     for node, (parent, order) in zip(nodes, blocks):
-        lines += child_lines(levels(node), order)
+        lines += "".join(child_lines(levels(node), tuple(order))).splitlines()
         code = parens(node) + ")" * node.last
         assert code == encode_parens(parent)
-        codes += child_parens(code, node.last, order)
+        codes += "".join(child_parens(code, node.last, tuple(order))).splitlines()
     assert len(blocks) > 1
     assert lines == [str(t) for t in trees] == list(map(joined, trees))
     assert codes == list(map(encode_parens, trees))
@@ -287,10 +291,39 @@ def test_level_lines_render_the_head_again_for_non_siblings():
 @given(deep_level_sequences())
 def test_parens_suffix_rule_on_drawn_trees(t):
     # Every child of a drawn tree, each from the tree's own encoding.
-    order = list(range(1, t.rpl + 2))
-    parens = child_parens(encode_parens(t), t.levels[-1], order)
+    order = tuple(range(1, t.rpl + 2))
+    first, rest = child_parens(encode_parens(t), t.levels[-1], order)
+    assert first.count("\n") == 1 and rest.endswith("\n") == (len(order) > 1)
+    parens = (first + rest).splitlines()
     assert parens == [encode_parens(t.child(i)) for i in order]
     assert [decode_parens(p) for p in parens] == t.children()
+
+
+def test_level_ends_cache_is_bounded_and_shares_equal_ends():
+    # A 1,000-record prefix at n=2000 (30 orders), then every order of six
+    # children (720): more orders than the cache keeps.  Each line end is one
+    # string per value, whichever orders it was cached for.
+    head, ends, records = Spliced(level_piece), [], 0
+    for parent, order, _ in _blocks(2000, False, False, None):
+        first, rest = child_lines(head(parent), order)
+        assert (first + rest).splitlines() == [str(parent) + f",{i + 1}" for i in order]
+        ends.append(_level_ends(order))
+        records += len(order)
+        if records >= 1000:
+            break
+    for order in itertools.permutations(range(1, 7)):
+        child_lines("1,2,", order)
+        ends.append(_level_ends(order))
+    info = _level_ends.cache_info()
+    assert info.maxsize == 256 and info.currsize == 256
+    by_value = {}
+    for first, rest in ends:
+        assert rest[0] == ""
+        for end in (first, *rest[1:]):
+            by_value.setdefault(end, set()).add(id(end))
+    most = max(len(rest) for _, rest in ends)  # the most children of a block
+    assert set(by_value) == {f"{v}\n" for v in range(2, most + 2)}
+    assert all(len(ids) == 1 for ids in by_value.values())
 
 
 def test_level_lines_memory_stays_linear_in_n():
