@@ -246,6 +246,13 @@ MUTANTS = [
         "texts[i] if i != same else move % _sibling_move(parent, i + 1)",
         "texts[i]",
     ),
+    # A tree stream's records, built from their parent's level tuple.
+    Mutant(
+        "tree-records-skip-the-child-range-check",
+        "src/treegray/generator.py",
+        "if not 1 <= i <= last:",
+        "if not 1 <= i <= last + 1:",
+    ),
 ]
 
 

@@ -61,7 +61,9 @@ from .tree import (
     Spliced,
     _above,
     _child_error,
+    _new,
     _root,
+    _store_levels,
     child_parens,
     encode_parens,
     paren_piece,
@@ -74,12 +76,12 @@ class StreamStats:
     vertex_writes counts the level entries the stream writes, checked or
     not: one for each family-tree node the stack builds (a node holds only
     its last level, so each tree of size below n costs one), and k for each
-    OrderedTree of size k it builds: every record of a tree stream, each
-    top block's parent, from which those records are built, and under
-    moves=True only the first record and its parent.  The boundary proofs
-    read nodes the stack holds and are not counted.  emitted counts records
-    produced per level: trees, and at level n under moves=True every record,
-    moves included.  case_counts tallies every step label, including
+    OrderedTree of size k it builds: every record of a tree stream, and
+    under moves=True only the first record and its parent.  Neither the
+    boundary proofs, which read nodes the stack holds, nor the spliced level
+    tuple of a block's parent are counted.  emitted counts records produced
+    per level: trees, and at level n under moves=True every record, moves
+    included.  case_counts tallies every step label, including
     forbidden ones, before any error is raised.  Levels below the top start
     blocks ahead of need, so a run stopped early, by an error or by its
     reader, may have tallied labels, trees and writes below the top that
@@ -342,20 +344,20 @@ def _records(
     parent, head = None, ()
     for node, order, m in _blocks(n, checked, moves, stats):
         if not moves:
-            # The block's parent as a tree, its levels spliced from the
-            # parent before: consecutive parents share all but a suffix.
+            # The block's parent's levels, spliced from the parent before:
+            # consecutive parents share all but a suffix.
             if parent is not None and node.up is parent.up:  # siblings
                 head = head[:-1] + (node.last,)
             else:
                 above = _above(node, parent)
                 keep = node.size - len(above)
                 head = head[:keep] + tuple([x.last for x in reversed(above)])
-            parent = node
-            tree = OrderedTree._trusted(head)
-            if stats is not None:
-                stats.vertex_writes += n - 1
+            parent, last = node, node.last
             for i in order:
-                t = tree.child(i)
+                if not 1 <= i <= last:
+                    raise _child_error(node, i)
+                t = _new(OrderedTree)
+                _store_levels(t, head + (i + 1,))
                 if stats is not None:
                     stats.vertex_writes += n
                     stats.emitted[n] += 1

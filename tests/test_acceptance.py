@@ -289,15 +289,15 @@ def test_criterion_09_streaming_contract(run14, stats7):
     node_peak = max(nodes.values())
     per_tree_14 = stats.vertex_writes / run14["total"]
     per_tree_7 = stats7.vertex_writes / stats7.emitted[7]
-    # Writes per tree grow linearly in n: 9.4 at n=7 and 18.0 at n=14, so
-    # 1.34 and 1.29 per vertex, nearly all of it the records themselves.  A
-    # quarter of margin keeps the bound at 23.5.
+    # Writes per tree grow linearly in n: 7.5 at n=7 and 14.4 at n=14, so
+    # 1.07 and 1.03 per vertex, nearly all of it the records themselves.  A
+    # quarter of margin keeps the bound at 18.7.
     budget = 1.25 * (14 / 7) * per_tree_7
     # The budget moves with the n=7 figure, so a regression by the same
     # factor at every size passes it (building each sibling twice did).  The
     # cap pins n=14 itself: 18.93 plus 10%, measured when the stack held
     # tuples.  vertex_writes counts one entry per family-tree node and every
-    # entry of each OrderedTree built: the records and each block's parent.
+    # entry of each OrderedTree built, the records.
     cap = 20.8
     # The stack holds at most 4 live nodes of any size (Node.child shares
     # the chain above each new node).

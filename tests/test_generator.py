@@ -400,12 +400,12 @@ def test_stats_counters():
 
 def test_stats_vertex_writes_unchecked_is_one_tree_each():
     # Every tree below the top is written once, checked or not, as one node
-    # holding its last level; each top block writes its parent as a tree of
-    # size n - 1, and each record its n entries.  The boundary proofs read
-    # the nodes the stack holds.
-    for n, want in ((6, 345), (8, 4553), (10, 63546)):
+    # holding its last level, and each record its n entries, appended to its
+    # parent's level tuple.  The boundary proofs read the nodes the stack
+    # holds.
+    for n, want in ((6, 275), (8, 3629), (10, 50676)):
         nodes = sum(catalan(k - 1) for k in range(1, n))
-        trees = n * catalan(n - 1) + (n - 1) * catalan(n - 2)
+        trees = n * catalan(n - 1)
         for checked in (False, True):
             stats = StreamStats()
             for _ in gray_code(n, checked=checked, stats=stats):
@@ -417,10 +417,17 @@ def test_stats_vertex_writes_unchecked_is_one_tree_each():
 @pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
 def test_stats_vertex_writes_match_the_trees_built(monkeypatch, checked, moves):
     # The writes counted by hand are one per node the stack builds (the root
-    # and every child) and the size of every OrderedTree the stream builds.
+    # and every child) and the size of every OrderedTree the stream builds,
+    # by OrderedTree.child, OrderedTree._trusted or, for the records of a
+    # tree stream, by storing its levels.
     built = [0]
     node_child, root = Node.child, treegray.generator._root
     tree_child, trusted = OrderedTree.child, OrderedTree._trusted.__func__
+    store = treegray.generator._store_levels
+
+    def stored(t, levels):
+        built[0] += len(levels)
+        store(t, levels)
 
     def counted(make, writes):
         def wrapped(*args):
@@ -435,6 +442,7 @@ def test_stats_vertex_writes_match_the_trees_built(monkeypatch, checked, moves):
     monkeypatch.setattr(treegray.generator, "_root", counted(root, one))
     monkeypatch.setattr(OrderedTree, "child", counted(tree_child, size))
     monkeypatch.setattr(OrderedTree, "_trusted", classmethod(counted(trusted, size)))
+    monkeypatch.setattr(treegray.generator, "_store_levels", stored)
     for n in range(1, 11):
         built[0] = 0
         stats = StreamStats()
