@@ -162,9 +162,22 @@ MUTANTS = [
     ),
     Mutant(
         "move-stream-sibling-run-off-by-one",
-        "src/treegray/generator.py",
-        "last, start = node.last, n - node.run",
-        "last, start = node.last, n - node.run + 1",
+        "src/treegray/relations.py",
+        "parent.size, parent.last, parent.run = n - 1, same + 1, run\n",
+        "parent.size, parent.last, parent.run = n - 1, same + 1, run - 1\n",
+    ),
+    # The sibling-move cache: its key must hold what the moves read.
+    Mutant(
+        "sibling-block-key-drops-run",
+        "src/treegray/relations.py",
+        "run = parent.run if same in order[1:] else 0",
+        "run = 0",
+    ),
+    Mutant(
+        "sibling-block-keys-run-on-the-first-child",
+        "src/treegray/relations.py",
+        "run = parent.run if same in order[1:] else 0",
+        "run = parent.run if same not in order[1:] else 0",
     ),
     Mutant(
         "spliced-sibling-keeps-the-old-last-entry",
@@ -243,8 +256,8 @@ MUTANTS = [
     Mutant(
         "delta-table-for-the-repeated-level",
         "src/treegray/relations.py",
-        "texts[i] if i != same else move % _sibling_move(parent, i + 1)",
-        "texts[i]",
+        'return moves, "".join(["%d %d %d\\n" % d for d in moves])',
+        'return moves, "".join(["%d %d %d\\n" % (n, n, d[2]) for d in moves])',
     ),
     # A tree stream's records, built from their parent's level tuple.
     Mutant(

@@ -10,9 +10,11 @@ gen renders its records block by block from generator._blocks: each
 block's parent, a family-tree node, is rendered once, spliced from the
 parent before by tree.Spliced for the levels and parens formats, and its
 siblings are one join of that text; in the delta format the sibling moves
-are one string from relations._sibling_move_lines, which reads the parent's
-last level and run.  Each block is written in two writes, each one string:
-its first record alone and then the rest of the block.
+are one string from relations._sibling_move_lines, cached per block shape
+(the size, the child order, the parent's last level and, where the moves
+read it, its run), so most blocks build no text at all.  Each block is
+written in two writes, each one string: its first record alone and then
+the rest of the block.
 """
 from __future__ import annotations
 
@@ -126,7 +128,7 @@ def _delta_writes(blocks: Iterator[Block]) -> Iterator[str]:
         else:
             yield "%d %d %d\n" % move
         if len(order) > 1:
-            yield _sibling_move_lines(parent, order[1:])
+            yield _sibling_move_lines(parent, order)
 
 
 def _limited(writes: Iterator[str], limit: int) -> Iterator[str]:

@@ -53,7 +53,13 @@ from .ordering import (
     plan_last,
     plan_step,
 )
-from .relations import Delta, _new_delta, _replays_to, _sibling_move
+from .relations import (
+    Delta,
+    _new_delta,
+    _replays_to,
+    _sibling_move,
+    _sibling_moves,
+)
 from .relations import is_adjacent  # noqa: F401  (bench/tracer.py wraps it)
 from .tree import (
     Node,
@@ -81,12 +87,13 @@ class StreamStats:
     boundary proofs, which read nodes the stack holds, nor the spliced level
     tuple of a block's parent are counted.  emitted counts records produced
     per level: trees, and at level n under moves=True every record, moves
-    included.  case_counts tallies every step label, including
-    forbidden ones, before any error is raised.  Levels below the top start
-    blocks ahead of need, so a run stopped early, by an error or by its
-    reader, may have tallied labels, trees and writes below the top that
-    only later records need; a run drawn to the end counts each of them
-    once.
+    included, tallied a block at a time as the block starts.  case_counts
+    tallies every step label, including forbidden ones, before any error is
+    raised.  Levels below the top start blocks ahead of need, so a run
+    stopped early, by an error or by its reader, may have tallied labels,
+    trees and writes below the top that only later records need, and under
+    moves=True the rest of the top's block; a run drawn to the end counts
+    each of them once.
     """
 
     # A plain class, not a dataclass: importing dataclasses also imports
@@ -364,22 +371,16 @@ def _records(
                 yield t
             continue
         if stats is not None:
-            stats.emitted[n] += 1
+            stats.emitted[n] += len(order)
         if m is None:  # the first record, as a tree
             if stats is not None:
                 stats.vertex_writes += n - 1 + n
             yield OrderedTree._trusted(node.levels).child(order[0])
         else:
             yield m
-        # Sibling steps need no tree: each is _sibling_move(node, i + 1),
-        # whose insert position is n unless the new leaf repeats the
-        # parent's last level, then where that level's run starts.
-        last, start = node.last, n - node.run
-        for i in order[1:]:
-            if stats is not None:
-                stats.emitted[n] += 1
-            v = i + 1
-            yield _new_delta((n, start if v == last else n, v))
+        # Sibling steps need no tree: _sibling_moves gives each block's
+        # moves, built once per block shape from _sibling_move.
+        yield from _sibling_moves(node, order)[0]
 
 
 def gray_code(

@@ -6,12 +6,15 @@ vertex (and its level) untouched.  A Delta records one such move on the level
 sequence; _move reads it off the first and last differing positions in O(n)
 for delta and is_adjacent, which replays it (_replay: apply_delta on a bare
 level tuple) instead of trusting the search.  _sibling_move gives it with no
-search when both trees are children of one tree; the generator derives every
-other move from it and proves it with the same replay (_replays_to).  The
-replay's checks live in one place, _replay_in_place, which edits a mutable
-level list; the oracle's certifier replays a whole move stream on one such
-list.  Copying, used by the ordering rules, is the restricted form: U arises
-from T by appending a new rightmost leaf, then deleting some other leaf.
+search when both trees are children of one tree; _sibling_moves gives all
+the moves within one block of siblings, as Deltas and as text, built from
+_sibling_move once per block shape and cached.  The generator derives every
+other move from _sibling_move and proves it with the same replay
+(_replays_to).  The replay's checks live in one place, _replay_in_place,
+which edits a mutable level list; the oracle's certifier replays a whole
+move stream on one such list.  Copying, used by the ordering rules, is the
+restricted form: U arises from T by appending a new rightmost leaf, then
+deleting some other leaf.
 
 The generator holds its trees as family-tree nodes (tree.Node), so
 _sibling_move, _copying and _replays_to take nodes and read only the
@@ -21,9 +24,9 @@ tuples stay as the oracle's independent reference.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .tree import Node, OrderedTree
+from .tree import Node, OrderedTree, _new
 
 
 class NotAdjacentError(ValueError):
@@ -154,26 +157,40 @@ def _sibling_move(parent: Node, level: int) -> Delta:
     return _new_delta((parent.size + 1, q + 1, level))
 
 
-@lru_cache(maxsize=None)
-def _sibling_texts(n: int) -> tuple[str, ...]:
-    # At index i, the line of (n, n, i + 1): the move to a child of size n
-    # whose new leaf at level i + 1 does not repeat its parent's last level,
-    # so the trailing run of i + 1 is that leaf alone.
-    return tuple(f"{n} {n} {i + 1}\n" for i in range(n))
+def _sibling_moves(
+    parent: Node, order: tuple[int, ...]
+) -> tuple[tuple[Delta, ...], str]:
+    """The moves between the children of parent with child indices in order,
+    _sibling_move(parent, i + 1) for each i after the first: as Deltas and
+    as their lines joined.
 
-
-def _sibling_move_lines(parent: Node, order: Iterable[int]) -> str:
-    """str(_sibling_move(parent, i + 1)) as a line for each i in order, joined.
-
-    Only the child whose new leaf repeats parent's last level has a move of
-    its own; every other move is read from a per-size table.
+    The moves read only the child's size, the index and parent's last level;
+    the run too, but only for child `same`, whose new leaf repeats that
+    level, so the run is part of the key only when that child comes after
+    the first.
     """
-    texts = _sibling_texts(parent.size + 1)
     same = parent.last - 1
-    move = "%d %d %d\n"
-    return "".join(
-        [texts[i] if i != same else move % _sibling_move(parent, i + 1) for i in order]
-    )
+    run = parent.run if same in order[1:] else 0
+    return _sibling_block(parent.size + 1, order, same, run)
+
+
+def _sibling_move_lines(parent: Node, order: tuple[int, ...]) -> str:
+    """The text of _sibling_moves(parent, order): gen's delta format writes
+    it as one write per block."""
+    return _sibling_moves(parent, order)[1]
+
+
+# Keyed by what the moves read, one entry per block shape; at most 256 are
+# kept, as in ordering._order (a run at n=13 uses 132, at n=14 160).
+@lru_cache(maxsize=256)
+def _sibling_block(
+    n: int, order: tuple[int, ...], same: int, run: int
+) -> tuple[tuple[Delta, ...], str]:
+    # A stand-in for the parent with the fields _sibling_move reads.
+    parent = _new(Node)
+    parent.size, parent.last, parent.run = n - 1, same + 1, run
+    moves = tuple([_sibling_move(parent, i + 1) for i in order[1:]])
+    return moves, "".join(["%d %d %d\n" % d for d in moves])
 
 
 def _copying(t: Node, u: Node) -> bool:

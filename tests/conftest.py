@@ -24,8 +24,10 @@ def broken_next_leftmost(monkeypatch):
 @pytest.fixture
 def broken_child_index(monkeypatch):
     """Make plan_step order the children of level 6's tree 3, 1,2,2,2,3,2
-    (rpl 1), with an out-of-range last index 3, so OrderedTree.child raises
-    ValueError when level 7 reaches that child."""
+    (rpl 1), with an out-of-range last index 3, so ValueError is raised when
+    level 7 reaches that child: by Node.child below the top, and at the top
+    by the range check of the tree stream's records or of the boundary
+    proof after the block."""
     real = treegray.generator.plan_step
 
     def plan_step(cur, nxt, lm):

@@ -273,6 +273,39 @@ def test_gen_deep_prefix_peak_rss(extra):
     assert int(peak_kb) < 30 * 1024
 
 
+def test_delta_text_memory_stays_linear_in_n():
+    # A fresh interpreter, so that no earlier test has filled the caches.
+    # The sibling moves are cached per block shape, at most 256 of them, so
+    # rendering the blocks of a 20,000-record prefix at n=2000 holds the
+    # first tree's line and a few dozen shapes (about 90 kB); one entry per
+    # block would hold several MB.
+    code = """
+import tracemalloc
+from treegray.cli import _delta_writes
+from treegray.generator import _blocks
+blocks, records = [], 0
+for block in _blocks(2000, False, True, None):
+    blocks.append(block)
+    records += len(block[1])
+    if records >= 20000:
+        break
+tracemalloc.start()
+for _ in _delta_writes(iter(blocks)):
+    pass
+print(tracemalloc.get_traced_memory()[1])
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert int(proc.stdout) < 1_000_000
+
+
 @pytest.mark.parametrize("extra", [(), ("--unchecked",)])
 def test_gen_delta_adjacency_violation_exits_1(broken_next_leftmost, capsys, extra):
     code, _, err = run(capsys, "gen", "--n", "7", "--format", "delta", *extra)

@@ -324,8 +324,9 @@ def test_violation_is_caught_at_the_lowest_proven_level(broken_next_leftmost):
 @pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
 def test_bad_child_index_at_the_top_raises(broken_child_index, checked, moves):
     # At n=7 the bad index 3 ends a block of the top level.  A tree stream
-    # meets it in OrderedTree.child; a move stream builds no tree there, so
-    # the boundary proof's two ends must check the index themselves.
+    # meets it in the range check of each record it builds from the parent's
+    # levels; a move stream builds no tree there, so the boundary proof's two
+    # ends must check the index themselves.
     with pytest.raises(ValueError) as exc:
         list(gray_code(7, checked=checked, moves=moves))
     assert str(exc.value) == "child index 3 outside 1..2 for 1,2,2,2,3,2"

@@ -1,15 +1,17 @@
 """Pony-tails, copying, adjacency, and delta encoding."""
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import treegray.generator
 import treegray.relations
 from treegray import (
     Delta,
     NotAdjacentError,
     OrderedTree,
     apply_delta,
+    catalan,
     delta,
     delta_stream,
     enumerate_all,
@@ -18,7 +20,7 @@ from treegray import (
     is_adjacent,
     is_copying,
 )
-from treegray.relations import _sibling_move, _sibling_move_lines
+from treegray.relations import _sibling_move, _sibling_move_lines, _sibling_moves
 from treegray.tree import _nodes
 
 
@@ -394,13 +396,64 @@ def test_sibling_move_stops_at_a_chunk_edge(parent, want):
 
 
 def test_sibling_move_lines_match_str_of_sibling_moves():
-    # The table holds the moves whose new leaf ends its trailing run alone.
+    # Every choice of first child, so that the child whose new leaf repeats
+    # the parent's last level comes first or later: the cached moves and
+    # their text are _sibling_move's for each later child.
+    blocks = 0
     for n in range(2, 9):
         for p in enumerate_all(n - 1):
-            order = range(1, p.rpl + 2)
-            want = [str(_sibling_move(node(p.levels), i + 1)) for i in order]
-            lines = _sibling_move_lines(node(p.levels), order)
-            assert lines.endswith("\n") and lines.splitlines() == want
+            parent, kids = node(p.levels), range(1, p.rpl + 2)
+            for first in kids:
+                order = (first, *[i for i in kids if i != first])
+                want = tuple(_sibling_move(parent, i + 1) for i in order[1:])
+                moves, text = _sibling_moves(parent, order)
+                assert moves == want
+                assert all(type(d) is Delta for d in moves)
+                assert _sibling_move_lines(parent, order) == text
+                assert text == "".join(f"{d}\n" for d in want)
+                blocks += 1
+    assert blocks == sum(catalan(k - 1) for k in range(2, 9))
+
+
+@pytest.mark.parametrize(
+    "order",
+    [(1, 2, 4), (3, 0, 1), (2, 1, 2), (2, 2, 3), (1, 2, 2), (3, 1, 3, 2, 2)],
+    ids=["above-range", "below-range", "same-again", "same-twice-first",
+         "same-twice-later", "two-repeats"],
+)
+def test_sibling_moves_of_a_broken_order_follow_the_rule(order):
+    # A broken plan: an index out of range, or one repeated.  Two parents of
+    # one size and last level 3 (same = 2) but runs 2 and 3 must still get
+    # the uncached rule's moves, whatever the key keeps of the run.
+    for levels in ((1, 2, 2, 3, 3), (1, 2, 3, 3, 3)):
+        parent = node(levels)
+        want = tuple(_sibling_move(parent, i + 1) for i in order[1:])
+        moves, text = _sibling_moves(parent, order)
+        assert moves == want
+        assert text == "".join(f"{d}\n" for d in want)
+
+
+def test_sibling_block_cache_is_bounded_and_shares_equal_keys():
+    # All of n=13 uses 132 block shapes, fewer than the cache keeps, so each
+    # is built once and every block of that shape shares its tuple and its
+    # string.  Then every order of six children: more shapes than it keeps.
+    treegray.relations._sibling_block.cache_clear()
+    seen, blocks = {}, 0
+    for parent, order, _ in treegray.generator._blocks(13, False, False, None):
+        moves, text = _sibling_moves(parent, order)
+        seen[id(moves)] = seen[id(text)] = moves, text
+        blocks += 1
+    info = treegray.relations._sibling_block.cache_info()
+    assert (info.misses, info.currsize, info.hits) == (132, 132, blocks - 132)
+    assert len(seen) == 2 * 132
+    parent = node((1, 2, 3, 4, 5, 6))
+    for order in permutations(range(1, 7)):
+        _sibling_moves(parent, order)
+    info = treegray.relations._sibling_block.cache_info()
+    assert info.maxsize == 256 and info.currsize == 256
+    same = node((1, 2, 2, 3, 4, 5, 6, 6)), node((1, 2, 3, 3, 4, 5, 6, 6))
+    first, second = (_sibling_moves(p, (6, 1, 5, 2, 4, 3)) for p in same)
+    assert first[0] is second[0] and first[1] is second[1]
 
 
 def test_delta_not_adjacent_raises():
