@@ -160,14 +160,14 @@ def _sibling_move(parent: Node, level: int) -> Delta:
 def _sibling_moves(
     parent: Node, order: tuple[int, ...]
 ) -> tuple[tuple[Delta, ...], str]:
-    """The moves between the children of parent with child indices in order,
-    _sibling_move(parent, i + 1) for each i after the first: as Deltas and
-    as their lines joined.
+    """The moves into the children of parent after the first in order,
+    _sibling_move(parent, i + 1) for each later index i: as Deltas and as
+    their lines joined.
 
-    The moves read only the child's size, the index and parent's last level;
-    the run too, but only for child `same`, whose new leaf repeats that
-    level, so the run is part of the key only when that child comes after
-    the first.
+    A move reads the child's size, its index and parent's last level, and
+    parent's run only for child `same`, whose new leaf repeats that level;
+    so blocks are cached by those, with the run only when `same` comes after
+    the first child.
     """
     same = parent.last - 1
     run = parent.run if same in order[1:] else 0
