@@ -62,20 +62,39 @@ MUTANTS = [
     Mutant(
         "verify-skips-the-first-co2-window",
         "src/treegray/oracle.py",
-        "            if pos >= 2:\n",
-        "            if pos >= 3:\n",
-    ),
-    Mutant(
-        "co1-sweep-skips-level-n-minus-1",
-        "src/treegray/oracle.py",
-        "for k in range(1, n):",
-        "for k in range(1, n - 1):",
+        "if count[k] >= 2:",
+        "if count[k] >= 3:",
     ),
     Mutant(
         "missing-walk-ignores-the-last-rank",
         "src/treegray/oracle.py",
-        "if 0 in seen:",
-        "if 0 in seen[:-1]:",
+        "and 0 in seen:",
+        "and 0 in seen[:-1]:",
+    ),
+    # The window check at every level, on the k-prefixes of level n.
+    Mutant(
+        "co1-skips-level-n-minus-1",
+        "src/treegray/oracle.py",
+        "new = [(n, *range(d + 1, n))",
+        "new = [(n, *range(d + 1, n - 1))",
+    ),
+    Mutant(
+        "window-check-starts-a-level-late",
+        "src/treegray/oracle.py",
+        "new = [(n, *range(d + 1, n))",
+        "new = [(n, *range(d + 2, n))",
+    ),
+    Mutant(
+        "window-check-skips-level-n",
+        "src/treegray/oracle.py",
+        "new = [(n, *range(d + 1, n))",
+        "new = [(*range(d + 1, n),)",
+    ),
+    Mutant(
+        "prefix-change-scan-starts-one-late",
+        "src/treegray/oracle.py",
+        "d = lo  # the lowest changed position",
+        "d = lo + 1  # the lowest changed position",
     ),
     # The move-stream certifier behind verify.
     Mutant(
@@ -87,7 +106,7 @@ MUTANTS = [
     Mutant(
         "no-op-move-not-flagged",
         "src/treegray/oracle.py",
-        "if cur[lo:hi] == old:",
+        "if isinstance(c, Delta):  # is_adjacent flagged a tree record",
         "if False:",
     ),
     Mutant(

@@ -10,7 +10,7 @@ gen renders its records block by block from generator._blocks: each
 block's parent, a family-tree node, is rendered once, spliced from the
 parent before by tree.Spliced for the levels and parens formats, and its
 siblings are one join of that text; in the delta format the sibling moves
-are one string from relations._sibling_move_lines, cached per block shape
+are one string from relations._sibling_moves, cached per block shape
 (the size, the child order, the parent's last level and, where the moves
 read it, its run), so most blocks build no text at all.  Each block is
 written in two writes, each one string: its first record alone and then
@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Optional
 
 from .generator import Block, StreamStats, _blocks, export_dot, gray_code
 from .oracle import catalan, verify
-from .relations import _sibling_move_lines
+from .relations import _sibling_moves
 # bench/tracer.py wraps cli.delta by name, so it stays bound.
 from .relations import delta  # noqa: F401
 from .tree import (
@@ -112,10 +112,7 @@ def _gen_writes(n: int, fmt: str, checked: bool) -> Iterator[str]:
         rendered = (child_lines(head(p), order) for p, order, _ in blocks)
     else:
         head = Spliced(paren_piece)
-        rendered = (
-            child_parens(head(p) + ")" * p.last, p.last, order)
-            for p, order, _ in blocks
-        )
+        rendered = (child_parens(head(p), p.last, order) for p, order, _ in blocks)
     return (text for first_rest in rendered for text in first_rest if text)
 
 
@@ -128,7 +125,7 @@ def _delta_writes(blocks: Iterator[Block]) -> Iterator[str]:
         else:
             yield "%d %d %d\n" % move
         if len(order) > 1:
-            yield _sibling_move_lines(parent, order)
+            yield _sibling_moves(parent, order)[1]
 
 
 def _limited(writes: Iterator[str], limit: int) -> Iterator[str]:

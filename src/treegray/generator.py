@@ -445,8 +445,8 @@ def _dot(n: int) -> Iterator[str]:
         # from the parent before.
         head = Spliced(paren_piece)
         for parent, order, _ in _blocks(k, False, False, None):
-            last = parent.last
-            source = head(parent) + ")" * last
-            for target in "".join(child_parens(source, last, order)).splitlines():
+            text, last = head(parent), parent.last
+            source = text + ")" * last
+            for target in "".join(child_parens(text, last, order)).splitlines():
                 yield f'  "{source}" -> "{target}";\n'
     yield "}\n"

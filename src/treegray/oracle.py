@@ -3,11 +3,15 @@
 Everything here is independent of the step rules: trees are ranked and
 enumerated in the lexicographic order of level sequences, counts come from
 the Catalan formula, and adjacency is certified by replay.  verify() reads
-the generator's checked move stream and certifies it in one loop
-(_certify), which uses nothing from the generator: it keeps one mutable
-level list, replays each move in place with apply_delta's checks, so that
-every step removes a leaf and inserts one, and updates the lexicographic
-rank over the positions the move changes.  Only the first tree, or a tree
+the generator's checked move stream of level n, once, and certifies it in
+one loop (_certify), which uses nothing from the generator: it keeps one
+mutable level list, replays each move in place with apply_delta's checks,
+so that every step removes a leaf and inserts one, and updates the
+lexicographic rank over the positions the move changes.  Level k + 1 read
+in order is the concatenation of level k's child blocks, so each level
+k < n is the stream of level n's distinct consecutive k-prefixes; the same
+loop checks the window invariant on every level, co1 below n and co2 at n,
+on the prefixes that drove level n.  Only the first tree, or a tree
 record anywhere in the stream, is ranked in full and checked with
 relations.is_adjacent, which replays the move the O(n) search
 relations._move finds and compares the result with the second tree; the
@@ -27,7 +31,8 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Union
 
 from .generator import StreamStats, gray_code
-from .ordering import FORBIDDEN_CASES, check_co1, format_case_histogram
+from .ordering import FORBIDDEN_CASES, format_case_histogram
+from .ordering import check_co1  # noqa: F401  (bench/tracer.py wraps it)
 from .relations import Delta, _replay_in_place, has_pony_tail, is_adjacent, is_copying
 from .tree import OrderedTree
 
@@ -110,8 +115,11 @@ class VerificationReport:
 
     Index pairs in adjacency_failures are 0-based positions into the emitted
     sequence; invariant_failures entries are (level, 0-based window start,
-    "co1" or "co2").  generation_error captures an exception raised by the
-    generator itself, which also fails the report.
+    "co1" or "co2"), with the window start counted in that level's stream,
+    listed by the record that completes the window and, for one record,
+    level n first and then the lower levels upwards.  generation_error
+    captures an exception raised by the generator itself, which also fails
+    the report.
     """
 
     # A plain class, as generator.StreamStats is: dataclasses would bring
@@ -190,31 +198,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _windowed(
-    report: VerificationReport, level: int, which: str, trees: Iterable[OrderedTree]
-) -> Iterator[OrderedTree]:
-    """Pass trees through, recording (level, 0-based start, which) for every
-    3-window of consecutive trees that fails check_co1."""
-    a = b = None
-    for pos, c in enumerate(trees):
-        if pos >= 2 and not check_co1(a, b, c):
-            report.invariant_failures.append((level, pos - 2, which))
-        a, b = b, c
-        yield c
-
-
-def _co1_sweep(report: VerificationReport, n: int) -> None:
-    # The invariant over the levels that drive the steps; the produced level
-    # is covered by the co2 pass over the main run.
-    for k in range(1, n):
-        try:
-            for _ in _windowed(report, k, "co1", gray_code(k, checked=False)):
-                pass
-        except (RuntimeError, ValueError) as exc:
-            report.generation_error = f"{type(exc).__name__}: {exc}"
-            return
-
-
 def _certify(
     report: VerificationReport,
     records: Iterable[Union[OrderedTree, Delta]],
@@ -230,20 +213,22 @@ def _certify(
     step a leaf removal and a leaf insertion, so it is a Gray step unless it
     leaves the tree unchanged.  It changes only the entries from
     min(remove_at, insert_at) to max(...), and the rank is a sum over
-    positions, so only that window is re-ranked.  co2 is read from the last
-    entries of the three current trees, as check_co1 reads them; only the
-    window whose outer trees have rpl 1 and whose middle one does not needs
-    whole trees, and the middle one is rebuilt by undoing the move.  A
-    record with no rank, or a move that does not replay, ends the run as
-    the report's generation error.
+    positions, so only that window is re-ranked.  A record is a new tree at
+    level n, and at each level k above its lowest changed position.  Each
+    level's window check reads the last entries of its three latest trees,
+    as check_co1 reads them; only the window whose outer trees have rpl 1
+    and whose middle one does not needs whole trees, the k-prefixes of the
+    record and of the one before, rebuilt by undoing the move.  A record
+    with no rank, or a move that does not replay, ends the run as the
+    report's generation error.
     """
     n = report.n
     cur: list[int] = []
-    rank = 0
-    # ea, eb: the last entries of the two records a, b before the current
-    # one, c; back is b's levels where a tree record c needs them anyway.
-    ea = eb = 0
-    total = 0
+    rank = total = 0
+    # Per level k: the last entries of its two trees before the latest, and
+    # its tree count; new[d], the levels a change at position d reaches.
+    ea, eb, count = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    new = [(n, *range(d + 1, n)) for d in range(n + 1)]
     try:
         for pos, c in enumerate(records):
             if isinstance(c, Delta):
@@ -257,11 +242,8 @@ def _certify(
                         report.adjacency_failures.append((pos - 1, pos))
                     report.generation_error = f"record {pos} does not replay: {exc}"
                     break
-                if cur[lo:hi] == old:  # equal trees are not adjacent
-                    report.adjacency_failures.append((pos - 1, pos))
                 for i in range(lo, hi):
                     rank += table[i][cur[i]] - table[i][old[i - lo]]
-                back = None
             else:
                 rank = _rank(c.levels, table)
                 if rank is None:
@@ -269,25 +251,34 @@ def _certify(
                         f"record {pos} is not a tree with {n} vertices: {c}"
                     )
                     break
-                back = cur
-                cur = list(c.levels)
-                if pos and not is_adjacent(OrderedTree._trusted(tuple(back)), c):
+                lo, hi, old, cur = 0, n, cur, list(c.levels)
+                if pos and not is_adjacent(OrderedTree._trusted(tuple(old)), c):
                     report.adjacency_failures.append((pos - 1, pos))
+            d = lo  # the lowest changed position; 0 for the first record
+            while pos and d < hi and cur[d] == old[d - lo]:
+                d += 1
+            if d == hi:  # equal trees are not adjacent
+                if isinstance(c, Delta):  # is_adjacent flagged a tree record
+                    report.adjacency_failures.append((pos - 1, pos))
+                d = n
             if seen[rank]:
                 report.duplicates.append(OrderedTree._trusted(tuple(cur)))
             seen[rank] = 1
-            ec = cur[-1]
-            if pos >= 2:
-                if ea == 2 == ec and eb > 2:
-                    if back is None:  # undo the move
-                        back = cur[:lo] + old + cur[hi:]
-                    b = OrderedTree._trusted(tuple(back))
-                    c = OrderedTree._trusted(tuple(cur))
-                    if not (has_pony_tail(b) and is_copying(c, b)):
-                        report.invariant_failures.append((n, pos - 2, "co2"))
-                elif ea == ec >= 3 and ea <= eb:
-                    report.invariant_failures.append((n, pos - 2, "co2"))
-            ea, eb = eb, ec
+            for k in new[d]:
+                a, b, ec = ea[k], eb[k], cur[k - 1]
+                if count[k] >= 2:
+                    if a == 2 == ec and b > 2:
+                        back = cur[:lo] + old + cur[hi:]  # undo the move
+                        mid = OrderedTree._trusted(tuple(back[:k]))
+                        third = OrderedTree._trusted(tuple(cur[:k]))
+                        held = has_pony_tail(mid) and is_copying(third, mid)
+                    else:
+                        held = not (a == ec >= 3 and a <= b)
+                    if not held:
+                        which = "co1" if k < n else "co2"
+                        report.invariant_failures.append((k, count[k] - 2, which))
+                ea[k], eb[k] = b, ec
+                count[k] += 1
             total = pos + 1
     except (RuntimeError, ValueError) as exc:
         report.generation_error = f"{type(exc).__name__}: {exc}"
@@ -300,12 +291,15 @@ def verify(n: int) -> VerificationReport:
     Every run checks each consecutive pair for adjacency (gray), the trees
     for repeats (unique) and omissions (complete), the window invariant over
     level n (co2) and the levels below it (co1), and the case labels.  The
-    checked move stream of level n is certified record by record (_certify):
-    its first tree is ranked in full, and each move after it is replayed in
-    place and re-ranked over the positions it changes, so _rank runs once.
-    Failures are recorded, never raised.  n is checked before the run, so a
-    ValueError in it is a generator fault too (a broken step rule can hand
-    OrderedTree.child an index out of range).
+    generator runs once: its checked move stream of level n is certified
+    record by record (_certify).  Its first tree is ranked in full, and each
+    move after it is replayed in place and re-ranked over the positions it
+    changes, so _rank runs once.  co1 is checked on the level-n stream's
+    k-prefixes for each k < n, the trees that drove level n.  Failures are
+    recorded, never raised, in the order of VerificationReport's
+    invariant_failures.  n is checked before the run, so a ValueError in it
+    is a generator fault too (a broken step rule can hand OrderedTree.child
+    an index out of range).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -315,9 +309,7 @@ def verify(n: int) -> VerificationReport:
     records = gray_code(n, checked=True, moves=True, stats=stats)
     _certify(report, records, _rank_table(n), seen)
     report.case_histogram = Counter(stats.case_counts)
-    if report.generation_error is None:
-        if 0 in seen:
-            walk = zip(enumerate_all(n), seen)
-            report.missing.extend(t for t, hit in walk if not hit)
-        _co1_sweep(report, n)
+    if report.generation_error is None and 0 in seen:
+        walk = zip(enumerate_all(n), seen)
+        report.missing.extend(t for t, hit in walk if not hit)
     return report

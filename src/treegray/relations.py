@@ -174,12 +174,6 @@ def _sibling_moves(
     return _sibling_block(parent.size + 1, order, same, run)
 
 
-def _sibling_move_lines(parent: Node, order: tuple[int, ...]) -> str:
-    """The text of _sibling_moves(parent, order): gen's delta format writes
-    it as one write per block."""
-    return _sibling_moves(parent, order)[1]
-
-
 # Keyed by what the moves read, one entry per block shape; at most 256 are
 # kept, as in ordering._order (a run at n=13 uses 132, at n=14 160).
 @lru_cache(maxsize=256)

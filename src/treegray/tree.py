@@ -8,8 +8,9 @@ two ordered trees are equal exactly when their level sequences are.
 This module owns both text formats: the comma-separated level sequence
 (``str(tree)``) and the balanced parentheses (``encode_parens``/
 ``decode_parens``).  ``child_lines`` and ``child_parens`` render all the
-children of one tree in either format from the tree's own text, so a block
-of siblings costs one rendering of their parent and one join of it.
+children of one tree in either format from the tree's own text (for parens,
+without the closing parens of its rightmost path), so a block of siblings
+costs one rendering of their parent and one join of it.
 
 ``Node`` holds a tree as a node of the family tree (a tree's parent is
 itself minus its rightmost leaf): the node of its parent plus its last
@@ -310,16 +311,16 @@ def _level_ends(order: tuple[int, ...]) -> tuple[str, tuple[str, ...]]:
     return ends[0], ("", *ends[1:])
 
 
-def child_parens(code: str, last: int, order: tuple[int, ...]) -> tuple[str, str]:
+def child_parens(head: str, last: int, order: tuple[int, ...]) -> tuple[str, str]:
     """``encode_parens(tree.child(i))`` for child indices i in order, split as
-    by child_lines; code is ``encode_parens(tree)``, last the tree's last level.
+    by child_lines; head is ``encode_parens(tree)`` without the ``last``
+    closing parens of its rightmost path, as Spliced(paren_piece) renders
+    it, and last is the tree's last level.
 
-    code ends with the ``last`` closing parens of the rightmost path.  The
-    new leaf at level v = i + 1 hangs below the level-i vertex of that path,
-    so the child closes ``last - v + 1`` of them, opens the leaf, and closes
-    the leaf and the v - 1 vertices above it.
+    The new leaf at level v = i + 1 hangs below the level-i vertex of that
+    path, so the child closes ``last - v + 1`` of them, opens the leaf, and
+    closes the leaf and the v - 1 vertices above it.
     """
-    head = code[:-last]
     ends = [f"{')' * (last - i)}({')' * (i + 1)}\n" for i in order]
     return head + ends[0], head.join(["", *ends[1:]])
 

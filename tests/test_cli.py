@@ -136,14 +136,14 @@ def test_gen_delta_writes_each_boundary_move_before_the_sibling_moves(monkeypatc
     # the siblings are rendered.  Block b of n=6 (14 blocks of 2 or more)
     # renders them after 2b + 1 writes and as many flushes.
     out = _Recorder()
-    real = treegray.cli._sibling_move_lines
+    real = treegray.cli._sibling_moves
     seen = []
 
-    def sibling_move_lines(parent, order):
+    def sibling_moves(parent, order):
         seen.append(len(out.calls))
         return real(parent, order)
 
-    monkeypatch.setattr(treegray.cli, "_sibling_move_lines", sibling_move_lines)
+    monkeypatch.setattr(treegray.cli, "_sibling_moves", sibling_moves)
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["gen", "--n", "6", "--format", "delta"]) == 0
     assert seen == [4 * b + 2 for b in range(14)]

@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import treegray.oracle
 import treegray.relations
@@ -14,6 +15,7 @@ from treegray import (
     VerificationReport,
     apply_delta,
     catalan,
+    check_co1,
     delta,
     enumerate_all,
     gray_code,
@@ -174,16 +176,15 @@ def test_verify_report_is_pinned(n):
     assert hashlib.sha256(text.encode()).hexdigest() == RENDER_SHA256[n]
 
 
-def _verify_broken_n6(monkeypatch, mutate, level=6):
-    # Feed verify(6) the per-level tree streams with the one of size `level`
-    # damaged by mutate; the others stay intact.  verify asks for moves at
-    # level 6 and gets trees, each of which it ranks in full and checks with
-    # is_adjacent.
+def _verify_broken_n6(monkeypatch, mutate):
+    # Feed verify(6) the tree stream of level 6 damaged by mutate.  verify
+    # asks for moves and gets trees, each of which it ranks in full and
+    # checks with is_adjacent.  The levels below 6 are the stream's
+    # k-prefixes, so a damaged stream can break co1 on them too.
     def broken(k, **kwargs):
         kwargs.pop("moves", None)
         trees = list(gray_code(k, **kwargs))
-        if k == level:
-            mutate(trees)
+        mutate(trees)
         return iter(trees)
 
     monkeypatch.setattr(treegray.oracle, "gray_code", broken)
@@ -218,23 +219,6 @@ def test_verify_records_a_value_error_from_the_generator(broken_child_index):
     assert "FAIL n=8 total=23 expected=429" in report.render()
 
 
-def test_verify_records_an_error_in_the_co1_sweep(monkeypatch):
-    # The main run at n=6 is sound; the sweep over the smaller levels fails.
-    real = treegray.oracle.gray_code
-
-    def failing(k, **kwargs):
-        if k < 6:
-            raise RuntimeError(f"level {k} failed")
-        return real(k, **kwargs)
-
-    monkeypatch.setattr(treegray.oracle, "gray_code", failing)
-    report = verify(6)
-    assert not report.passed
-    assert report.total == 42
-    assert report.generation_error == "RuntimeError: level 1 failed"
-    assert report.invariant_failures == []
-
-
 def test_passing_verify_does_not_enumerate(monkeypatch):
     # The lexicographic walk runs only to name missing trees.
     def walk(n):
@@ -266,7 +250,16 @@ def test_verify_locates_swapped_trees(monkeypatch):
     assert not report.passed
     assert report.total == 42
     assert report.adjacency_failures == [(2, 3), (3, 4), (17, 18), (18, 19)]
-    assert report.invariant_failures == [(6, 1, "co2"), (6, 16, "co2"), (6, 18, "co2")]
+    # Record 3, tree 18, also starts new trees at levels 4 and 5, and the
+    # windows they complete break co1 on those prefixes.
+    assert report.invariant_failures == [
+        (6, 1, "co2"),
+        (4, 0, "co1"),
+        (5, 1, "co1"),
+        (5, 2, "co1"),
+        (6, 16, "co2"),
+        (6, 18, "co2"),
+    ]
     assert report.duplicates == [] and report.missing == []
     assert report.generation_error is None
     lines = report.render().splitlines()
@@ -283,7 +276,7 @@ def test_verify_locates_repeated_tree(monkeypatch):
     assert not report.passed
     assert report.total == 42
     assert report.adjacency_failures == [(17, 18), (18, 19)]
-    assert report.invariant_failures == [(6, 16, "co2"), (6, 18, "co2")]
+    assert report.invariant_failures == [(6, 16, "co2"), (6, 18, "co2"), (5, 6, "co1")]
     assert report.duplicates == [OrderedTree([1, 2, 2, 2, 2, 2])]
     assert report.missing == [OrderedTree([1, 2, 3, 3, 3, 3])]
     lines = report.render().splitlines()
@@ -300,7 +293,7 @@ def test_verify_checks_the_first_pair(monkeypatch):
 
     report = _verify_broken_n6(monkeypatch, swap)
     assert report.adjacency_failures == [(0, 1), (4, 5)]
-    assert report.invariant_failures == [(6, 4, "co2")]
+    assert report.invariant_failures == [(6, 4, "co2"), (5, 2, "co1")]
     assert "not adjacent: positions 0,1" in report.render().splitlines()
 
 
@@ -315,17 +308,18 @@ def test_verify_checks_the_first_co2_window(monkeypatch):
     assert "co2 violated: level 6, window 0" in report.render().splitlines()
 
 
-def test_verify_sweeps_co1_up_to_level_n_minus_1(monkeypatch):
-    # Level 5 breaks co1 and nothing else: verify(5) would see the break as
-    # co2, so only the sweep of verify(6) over the levels below 6 finds it.
+def test_verify_checks_co1_up_to_level_n_minus_1(monkeypatch):
+    # Swapping records 2 and 8 of level 6 keeps every pair adjacent and co2
+    # whole, but reorders the 5-prefixes: only level 5's co1 breaks.
     def swap(trees):
-        trees[3], trees[10] = trees[10], trees[3]
+        trees[2], trees[8] = trees[8], trees[2]
 
-    report = _verify_broken_n6(monkeypatch, swap, level=5)
+    report = _verify_broken_n6(monkeypatch, swap)
     assert not report.passed
     assert report.total == 42 and report.adjacency_failures == []
-    assert report.invariant_failures == [(5, 3, "co1")]
-    assert "co1 violated: level 5, window 3" in report.render().splitlines()
+    assert report.duplicates == [] and report.missing == []
+    assert report.invariant_failures == [(5, 2, "co1")]
+    assert "co1 violated: level 5, window 2" in report.render().splitlines()
 
 
 def test_verify_names_a_missing_lexicographically_last_tree(monkeypatch):
@@ -390,6 +384,79 @@ def test_certified_rank_is_the_rank_of_the_replayed_tree(n):
     assert sorted(want) == list(range(catalan(n - 1)))
     assert report.total == len(records) and report.generation_error is None
     assert report.adjacency_failures == report.invariant_failures == []
+
+
+def test_verify_runs_the_generator_once(monkeypatch):
+    # The levels below n are read off level n's stream, not generated again.
+    real = treegray.oracle.gray_code
+    calls = []
+
+    def counted(k, **kwargs):
+        calls.append(k)
+        return real(k, **kwargs)
+
+    monkeypatch.setattr(treegray.oracle, "gray_code", counted)
+    for n in range(1, 11):
+        calls.clear()
+        assert verify(n).passed
+        assert calls == [n]
+
+
+def _gray_move(levels, leaf, at, level):
+    # A move that replays on levels, picked by three arbitrary integers: it
+    # removes a leaf and inserts a leaf, possibly the same one back.
+    m = len(levels)
+    leaves = [j for j in range(1, m) if j == m - 1 or levels[j + 1] <= levels[j]]
+    j = leaves[leaf % len(leaves)]
+    short = levels[:j] + levels[j + 1 :]
+    q = 1 + at % (m - 1)
+    low = max(2, short[q]) if q < m - 1 else 2
+    return Delta(j + 1, q + 1, low + level % (short[q - 1] + 2 - low))
+
+
+def _reference_window_failures(trees):
+    # check_co1 over each level's stream: level n is every record, level
+    # k < n the distinct consecutive k-prefixes.  A failure is listed at the
+    # record that completes its window, level n first, then level by level.
+    n, found = trees[0].size, []
+    for k in range(1, n + 1):
+        starts = [
+            pos
+            for pos, t in enumerate(trees)
+            if k == n or pos == 0 or t.levels[:k] != trees[pos - 1].levels[:k]
+        ]
+        level = [OrderedTree._trusted(trees[pos].levels[:k]) for pos in starts]
+        for w in range(len(level) - 2):
+            if not check_co1(*level[w : w + 3]):
+                which = "co1" if k < n else "co2"
+                found.append((starts[w + 2], k % n, (k, w, which)))
+    return [failure for _, _, failure in sorted(found)]
+
+
+@given(
+    st.integers(min_value=6, max_value=8),
+    st.booleans(),
+    st.lists(st.tuples(*[st.integers(0, 63)] * 3), max_size=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_window_check_is_check_co1_on_every_levels_prefixes(n, moves, draws):
+    # A random walk of Gray moves fed as Deltas, or random trees fed as tree
+    # records: the one-pass window check lists what check_co1 finds on each
+    # level's stream, in the same order.
+    everything = list(enumerate_all(n))
+    trees = [everything[draws[0][0] % len(everything)] if draws else everything[0]]
+    records = [trees[0]]
+    for a, b, c in draws[1:]:
+        if moves:
+            records.append(_gray_move(list(trees[-1].levels), a, b, c))
+            trees.append(apply_delta(trees[-1], records[-1]))
+        else:
+            trees.append(everything[(a * 64 + b) % len(everything)])
+            records.append(trees[-1])
+    report = VerificationReport(n=n)
+    _certify(report, iter(records), _rank_table(n), bytearray(catalan(n - 1)))
+    assert report.generation_error is None and report.total == len(records)
+    assert report.invariant_failures == _reference_window_failures(trees)
 
 
 def _counting(monkeypatch, name):

@@ -22,7 +22,7 @@ from treegray import (
     is_copying,
     verify,
 )
-from treegray.oracle import VerificationReport, _windowed
+from treegray.oracle import VerificationReport, _certify, _rank_table
 from treegray.ordering import plan_last, plan_step
 from treegray.tree import _nodes
 
@@ -225,10 +225,12 @@ def test_check_co1_matches_reference_on_drawn_triples(triple):
 
 
 def test_check_co2_window():
-    # CO2 is check_co1 over every 3-window of the level being produced.
+    # CO2 is check_co1 over every 3-window of the level being produced.  In
+    # these streams no level below 4 has three trees, so no co1 is checked.
     def co2_failures(trees):
         report = VerificationReport(n=4)
-        assert list(_windowed(report, 4, "co2", trees)) == trees
+        _certify(report, iter(trees), _rank_table(4), bytearray(5))
+        assert report.total == len(trees)
         return report.invariant_failures
 
     window = [T(1, 2, 2, 3), T(1, 2, 2, 2), T(1, 2, 3, 3)]

@@ -20,7 +20,7 @@ from treegray import (
     is_adjacent,
     is_copying,
 )
-from treegray.relations import _sibling_move, _sibling_move_lines, _sibling_moves
+from treegray.relations import _sibling_move, _sibling_moves
 from treegray.tree import _nodes
 
 
@@ -409,7 +409,6 @@ def test_sibling_move_lines_match_str_of_sibling_moves():
                 moves, text = _sibling_moves(parent, order)
                 assert moves == want
                 assert all(type(d) is Delta for d in moves)
-                assert _sibling_move_lines(parent, order) == text
                 assert text == "".join(f"{d}\n" for d in want)
                 blocks += 1
     assert blocks == sum(catalan(k - 1) for k in range(2, 9))

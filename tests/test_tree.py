@@ -280,9 +280,9 @@ def test_level_lines_render_the_head_again_for_non_siblings():
     lines, codes = [], []
     for node, (parent, order) in zip(nodes, blocks):
         lines += "".join(child_lines(levels(node), tuple(order))).splitlines()
-        code = parens(node) + ")" * node.last
-        assert code == encode_parens(parent)
-        codes += "".join(child_parens(code, node.last, tuple(order))).splitlines()
+        head = parens(node)
+        assert head + ")" * node.last == encode_parens(parent)
+        codes += "".join(child_parens(head, node.last, tuple(order))).splitlines()
     assert len(blocks) > 1
     assert lines == [str(t) for t in trees] == list(map(joined, trees))
     assert codes == list(map(encode_parens, trees))
@@ -290,9 +290,10 @@ def test_level_lines_render_the_head_again_for_non_siblings():
 
 @given(deep_level_sequences())
 def test_parens_suffix_rule_on_drawn_trees(t):
-    # Every child of a drawn tree, each from the tree's own encoding.
-    order = tuple(range(1, t.rpl + 2))
-    first, rest = child_parens(encode_parens(t), t.levels[-1], order)
+    # Every child of a drawn tree, each from the tree's own encoding without
+    # the closing parens of its rightmost path.
+    order, last = tuple(range(1, t.rpl + 2)), t.levels[-1]
+    first, rest = child_parens(encode_parens(t)[:-last], last, order)
     assert first.count("\n") == 1 and rest.endswith("\n") == (len(order) > 1)
     parens = (first + rest).splitlines()
     assert parens == [encode_parens(t.child(i)) for i in order]
