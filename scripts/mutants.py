@@ -75,20 +75,20 @@ MUTANTS = [
     Mutant(
         "co1-skips-level-n-minus-1",
         "src/treegray/oracle.py",
-        "new = [(n, *range(d + 1, n))",
-        "new = [(n, *range(d + 1, n - 1))",
+        "reached = [(n, *range(d + 1, n))",
+        "reached = [(n, *range(d + 1, n - 1))",
     ),
     Mutant(
         "window-check-starts-a-level-late",
         "src/treegray/oracle.py",
-        "new = [(n, *range(d + 1, n))",
-        "new = [(n, *range(d + 2, n))",
+        "reached = [(n, *range(d + 1, n))",
+        "reached = [(n, *range(d + 2, n))",
     ),
     Mutant(
         "window-check-skips-level-n",
         "src/treegray/oracle.py",
-        "new = [(n, *range(d + 1, n))",
-        "new = [(*range(d + 1, n),)",
+        "reached = [(n, *range(d + 1, n))",
+        "reached = [(*range(d + 1, n),)",
     ),
     Mutant(
         "prefix-change-scan-starts-one-late",

@@ -226,9 +226,10 @@ def _certify(
     cur: list[int] = []
     rank = total = 0
     # Per level k: the last entries of its two trees before the latest, and
-    # its tree count; new[d], the levels a change at position d reaches.
+    # its tree count; reached[d]: the levels a change at position d gives a
+    # new tree, level n first.
     ea, eb, count = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
-    new = [(n, *range(d + 1, n)) for d in range(n + 1)]
+    reached = [(n, *range(d + 1, n)) for d in range(n + 1)]
     try:
         for pos, c in enumerate(records):
             if isinstance(c, Delta):
@@ -264,7 +265,7 @@ def _certify(
             if seen[rank]:
                 report.duplicates.append(OrderedTree._trusted(tuple(cur)))
             seen[rank] = 1
-            for k in new[d]:
+            for k in reached[d]:
                 a, b, ec = ea[k], eb[k], cur[k - 1]
                 if count[k] >= 2:
                     if a == 2 == ec and b > 2:
