@@ -147,12 +147,6 @@ MUTANTS = [
         "m = _advance(levels, n, proven, stats, due, 1)",
         "m = _advance(levels, n, proven, stats, due, 2)",
     ),
-    Mutant(
-        "proof-ends-skip-the-range-check",
-        "src/treegray/generator.py",
-        "if not 1 <= ell <= end.last:",
-        "if not 1 <= ell <= end.last + 1:",
-    ),
     # The node forms: each reads only the suffixes above the shared node.
     Mutant(
         "copying-meet-stops-one-node-early",
@@ -278,9 +272,9 @@ MUTANTS = [
         'return moves, "".join(["%d %d %d\\n" % d for d in moves])',
         'return moves, "".join(["%d %d %d\\n" % (n, n, d[2]) for d in moves])',
     ),
-    # A tree stream's records, built from their parent's level tuple.
+    # Each top block's child indices, checked once before any reader sees it.
     Mutant(
-        "tree-records-skip-the-child-range-check",
+        "top-blocks-skip-the-child-range-check",
         "src/treegray/generator.py",
         "if not 1 <= i <= last:",
         "if not 1 <= i <= last + 1:",

@@ -31,12 +31,12 @@ move to its lookahead and derives each boundary's move from the one below
 replays it from the used-up block's last child to the new block's first on
 the suffixes above the node the two share (relations._replays_to).  The top
 level hands out blocks (_blocks): a parent node, its child order and, where
-the boundary is proven, the move into the first child; it builds no tree of
-size n.  gray_code flattens them into trees, each block's parent spliced
-from the one before, or with moves=True into the first tree followed by
-each step's canonical relations.Delta, read off the child index for a
-sibling step; the CLI renders them as text.  export_dot writes the family
-tree as Graphviz text straight from those streams.
+the boundary is proven, the move into the first child; it checks every
+child index and builds no tree of size n.  gray_code flattens them into
+trees, each block's parent spliced from the one before, or with moves=True
+into the first tree followed by each step's canonical relations.Delta, read
+off the child index for a sibling step; the CLI renders them as text.
+export_dot writes the family tree as Graphviz text from those streams.
 """
 from __future__ import annotations
 
@@ -66,6 +66,7 @@ from .tree import (
     OrderedTree,
     Spliced,
     _above,
+    _check_size,
     _child_error,
     _new,
     _root,
@@ -232,8 +233,6 @@ def _advance(
                     if j >= proven:
                         # The used-up block's last child, and where that block stood.
                         end, ell = lv.cur, lv.order[-1]
-                        if not 1 <= ell <= end.last:
-                            raise _child_error(end, ell)
                         end_case, end_index = lv.case, lv.index
                 lv.cur = cur = lv.nxt
                 lv.nxt, lv.b = t, b
@@ -299,16 +298,15 @@ def _blocks(
     family-tree node, the records are its children with the child indices
     in order, and move is the canonical Delta into the first of them from
     the last record of the block before.  It is derived when checked or with
-    moves=True and None otherwise (and always for the first block).  Every
-    boundary is proven as gray_code proves it, before its block is yielded.
+    moves=True and None otherwise (and always for the first block).  Before
+    a block is yielded its boundary is proven as gray_code proves it, and
+    each of its child indices is checked against the parent, with
+    Node.child's error; below the top, Node.child checks each index as the
+    child is handed up.  So no reader of the blocks checks an index again.
     n must be at least 2: the one tree of size 1 has no parent.
 
-    A level below the top whose block is used up, and that has a lookahead,
-    is due: it must start its next block before it can hand up another
-    tree.  After each block of the top, one due level starts its next block
-    ahead of need, in the top's own _advance call, so past the first
-    boundary the top finds the level below it with a child to hand up, and
-    each block costs at most two plans: the top's and the one rolled ahead.
+    After each block of the top, one due level (see _advance) starts its
+    next block ahead of need, so each block costs at most two plans.
     """
     # Levels from `proven` up prove each block boundary: all of them when
     # checked, else only the top of a move stream, which yields the moves.
@@ -333,7 +331,11 @@ def _blocks(
                 stats.emitted[k] += 1
     top = levels[n]
     while True:
-        yield top.cur, top.order, m
+        parent, order, last = top.cur, top.order, top.cur.last
+        for i in order:
+            if not 1 <= i <= last:
+                raise _child_error(parent, i)
+        yield parent, order, m
         if top.nxt is None:
             return
         m = _advance(levels, n, proven, stats, due, 1)
@@ -359,10 +361,8 @@ def _records(
                 above = _above(node, parent)
                 keep = node.size - len(above)
                 head = head[:keep] + tuple([x.last for x in reversed(above)])
-            parent, last = node, node.last
+            parent = node
             for i in order:
-                if not 1 <= i <= last:
-                    raise _child_error(node, i)
                 t = _new(OrderedTree)
                 _store_levels(t, head + (i + 1,))
                 if stats is not None:
@@ -400,8 +400,7 @@ def gray_code(
     index, and each boundary move is derived from the move below and proven
     by replay, checked or not.  Pass a StreamStats to collect counters.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_size(n, 1)
     return _records(n, checked, moves, stats)
 
 
@@ -412,8 +411,7 @@ def delta_stream(
 
     Folding the deltas over the first tree with apply_delta replays the code.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    _check_size(n, 2)
     records = gray_code(n, checked=checked, stats=stats, moves=True)
     return itertools.islice(records, 1, None)
 
@@ -428,8 +426,7 @@ def export_dot(n: int) -> Iterator[str]:
     each parent is encoded once per block and its children from it.  One
     stream is open at a time, so the text is produced holding O(n) trees.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_size(n, 1)
     return _dot(n)
 
 

@@ -34,7 +34,7 @@ from .generator import StreamStats, gray_code
 from .ordering import FORBIDDEN_CASES, format_case_histogram
 from .ordering import check_co1  # noqa: F401  (bench/tracer.py wraps it)
 from .relations import Delta, _replay_in_place, has_pony_tail, is_adjacent, is_copying
-from .tree import OrderedTree
+from .tree import OrderedTree, _check_size
 
 def catalan(m: int) -> int:
     """The m-th Catalan number, binom(2m, m) / (m + 1), exactly."""
@@ -105,8 +105,7 @@ def _rank(levels: tuple[int, ...], table: list[list[Optional[int]]]) -> Optional
 def enumerate_all(n: int) -> Iterator[OrderedTree]:
     """All ordered trees with n vertices, streamed in lexicographic
     level-sequence order."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_size(n, 1)
     return map(OrderedTree._trusted, _successors(n))
 
 
@@ -299,11 +298,9 @@ def verify(n: int) -> VerificationReport:
     k-prefixes for each k < n, the trees that drove level n.  Failures are
     recorded, never raised, in the order of VerificationReport's
     invariant_failures.  n is checked before the run, so a ValueError in it
-    is a generator fault too (a broken step rule can hand OrderedTree.child
-    an index out of range).
+    is a generator fault too, such as a child index out of range.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_size(n, 1)
     report = VerificationReport(n=n)
     seen = bytearray(report.expected)
     stats = StreamStats()

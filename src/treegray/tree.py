@@ -177,6 +177,12 @@ class Node:
         return _text(self.levels)[:-1]
 
 
+def _check_size(n: object, low: int) -> None:
+    """Raise ValueError unless n is an int, not a bool, of at least low."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < low:
+        raise ValueError(f"n must be a positive integer >= {low}, got {n!r}")
+
+
 def _child_error(tree: "OrderedTree | Node", i: int) -> ValueError:
     """The error for a child index i outside 1..rpl + 1 of tree."""
     return ValueError(f"child index {i} outside 1..{tree.levels[-1]} for {tree}")

@@ -26,8 +26,7 @@ def broken_child_index(monkeypatch):
     """Make plan_step order the children of level 6's tree 3, 1,2,2,2,3,2
     (rpl 1), with an out-of-range last index 3, so ValueError is raised when
     level 7 reaches that child: by Node.child below the top, and at the top
-    by the range check of the tree stream's records or of the boundary
-    proof after the block."""
+    by _blocks, before it hands out the block."""
     real = treegray.generator.plan_step
 
     def plan_step(cur, nxt, lm):

@@ -556,30 +556,39 @@ def test_generator_value_error_exits_1(broken_child_index, capsys, argv):
         assert err == f"error: {fault}\n"
 
 
+# (fixture, n, format, checked, records before the fault).  At n=7 the bad
+# child index ends a block of the top level; at n=8 it is below the top.
+_GEN_FAULTS = [
+    ("broken_child_index", 7, "levels", True, 8),
+    ("broken_child_index", 7, "levels", False, 8),
+    ("broken_child_index", 7, "parens", True, 8),
+    ("broken_child_index", 7, "parens", False, 8),
+    ("broken_child_index", 8, "levels", True, 23),
+    ("broken_child_index", 8, "levels", False, 23),
+    ("broken_child_index", 8, "parens", True, 23),
+    ("broken_child_index", 7, "delta", True, 8),
+    ("broken_next_leftmost", 8, "levels", True, 25),
+    ("broken_next_leftmost", 8, "parens", True, 25),
+    ("broken_next_leftmost", 7, "delta", True, 10),
+    ("forbidden_case", 8, "levels", True, 21),
+    ("forbidden_case", 8, "levels", False, 21),
+    ("forbidden_case", 8, "parens", True, 21),
+    ("forbidden_case", 7, "delta", True, 8),
+]
+
+
 @pytest.mark.parametrize(
-    "fixture, fmt, checked, want",
-    [
-        ("broken_child_index", "levels", True, 23),
-        ("broken_child_index", "levels", False, 23),
-        ("broken_child_index", "parens", True, 23),
-        ("broken_child_index", "delta", True, 10),
-        ("broken_next_leftmost", "levels", True, 25),
-        ("broken_next_leftmost", "parens", True, 25),
-        ("broken_next_leftmost", "delta", True, 10),
-        ("forbidden_case", "levels", True, 21),
-        ("forbidden_case", "levels", False, 21),
-        ("forbidden_case", "parens", True, 21),
-        ("forbidden_case", "delta", True, 8),
-    ],
+    "fixture, n, fmt, checked, want",
+    _GEN_FAULTS,
+    ids=[f"{f}-{fmt}-{c}-{w}" for f, _, fmt, c, w in _GEN_FAULTS],
 )
 def test_gen_writes_every_record_before_a_generation_error(
-    request, capsys, fixture, fmt, checked, want
+    request, capsys, fixture, n, fmt, checked, want
 ):
     # A fault stops gen between blocks: stdout holds every record that the
     # generator yielded before it, and nothing more.  A --limit cut there
     # asks for no block after it, so it meets no fault.
     request.getfixturevalue(fixture)
-    n = 7 if fmt == "delta" else 8
     render = encode_parens if fmt == "parens" else str
     records = []
     with pytest.raises((ValueError, RuntimeError)):
@@ -590,6 +599,14 @@ def test_gen_writes_every_record_before_a_generation_error(
     assert code == 1 and err.startswith("error: ")
     assert len(records) == want
     assert out == "".join(records)
+    # Every line written is a tree, or in the delta format a move that replays.
+    lines = out.splitlines()
+    cur = parse_tree(lines[0])
+    for line in lines[1:]:
+        if fmt == "delta":
+            cur = apply_delta(cur, Delta.parse(line))
+        else:
+            parse_tree(line)
     assert run(capsys, *argv, "--limit", str(want)) == (0, out, "")
 
 

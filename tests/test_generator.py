@@ -323,10 +323,9 @@ def test_violation_is_caught_at_the_lowest_proven_level(broken_next_leftmost):
 @pytest.mark.parametrize("moves", [False, True], ids=["trees", "moves"])
 @pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
 def test_bad_child_index_at_the_top_raises(broken_child_index, checked, moves):
-    # At n=7 the bad index 3 ends a block of the top level.  A tree stream
-    # meets it in the range check of each record it builds from the parent's
-    # levels; a move stream builds no tree there, so the boundary proof's two
-    # ends must check the index themselves.
+    # At n=7 the bad index 3 ends a block of the top level.  _blocks checks
+    # every index of a top block before any reader gets the block, so a tree
+    # stream and a move stream raise alike.
     with pytest.raises(ValueError) as exc:
         list(gray_code(7, checked=checked, moves=moves))
     assert str(exc.value) == "child index 3 outside 1..2 for 1,2,2,2,3,2"
@@ -341,7 +340,7 @@ _FAULT_MODES = [(True, False), (False, False), (True, True), (False, True)]
         ("broken_next_leftmost", 7, (10, 132, 10, 10)),
         ("broken_next_leftmost", 8, (25, 429, 25, 28)),
         ("broken_next_leftmost", 9, (73, 1430, 73, 84)),
-        ("broken_child_index", 7, (9, 9, 10, 10)),
+        ("broken_child_index", 7, (8, 8, 8, 8)),
         ("broken_child_index", 8, (23, 23, 23, 23)),
         ("broken_child_index", 9, (67, 67, 67, 67)),
         ("forbidden_case", 7, (8, 8, 8, 8)),
