@@ -128,6 +128,19 @@ MUTANTS = [
         "end, ell = lv.cur, lv.order[-1]",
         "end, ell = lv.cur, lv.order[0]",
     ),
+    # The boundary move, derived from the two parents' chains.
+    Mutant(
+        "boundary-insert-ignores-the-run",
+        "src/treegray/generator.py",
+        "c.size + 1 - (c.run if c.last == v else 0)",
+        "c.size + 1 - (c.run - 1 if c.last == v else 0)",
+    ),
+    Mutant(
+        "boundary-lemma-threshold-off-by-one",
+        "src/treegray/generator.py",
+        "if ell == nu != rpl:",
+        "if ell == nu != rpl + 1:",
+    ),
     Mutant(
         "proof-replays-onto-itself",
         "src/treegray/relations.py",

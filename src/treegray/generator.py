@@ -25,9 +25,9 @@ relations._copying walks the two chains to the node they share.  Only the
 current/lookahead pair of each level is retained, so the state does not
 grow with the number of trees emitted.
 
-Siblings in a block are adjacent by construction.  Each level carries the
-move to its lookahead and derives each boundary's move from the one below
-(docs/boundary-moves.md), so no move is searched for; a proven level
+Siblings in a block are adjacent by construction.  No level carries a move:
+a proven level derives each boundary's from the two parents' chains
+(_boundary, by docs/boundary-moves.md), so none is searched for, and
 replays it from the used-up block's last child to the new block's first on
 the suffixes above the node the two share (relations._replays_to).  The top
 level hands out blocks (_blocks): a parent node, its child order and, where
@@ -57,7 +57,6 @@ from .relations import (
     Delta,
     _new_delta,
     _replays_to,
-    _sibling_move,
     _sibling_moves,
 )
 from .relations import is_adjacent  # noqa: F401  (bench/tracer.py wraps it)
@@ -121,21 +120,17 @@ class _Level:
     family-tree node) in the child-index order `order`, of which the first
     `pos` are handed up.  nxt is the lookahead tree of level k-1, None once
     cur is that level's final tree, and lm is the leftmost child index fixed
-    for nxt's block.  b is the move from cur to nxt, and m the move into the
-    block's first child from the last child of the block before, if moves
-    are derived.  index is cur's 0-based position in level k-1 and case the
-    step label that planned the block.  err is what a roll ahead of need
+    for nxt's block.  index is cur's 0-based position in level k-1 and case
+    the step label that planned the block.  err is what a roll ahead of need
     raised, kept for the level above to meet when it next asks for a tree.
     """
 
-    __slots__ = ("cur", "nxt", "lm", "b", "m", "order", "pos", "index", "case", "err")
+    __slots__ = ("cur", "nxt", "lm", "order", "pos", "index", "case", "err")
 
     def __init__(self):
         self.cur: Optional[Node] = None
         self.nxt: Optional[Node] = None
         self.lm = 1
-        self.b: Optional[Delta] = None
-        self.m: Optional[Delta] = None
         self.order: tuple[int, ...] = ()
         self.pos = 0
         self.index = -1
@@ -143,14 +138,28 @@ class _Level:
         self.err: Optional[Exception] = None
 
 
-def _boundary_move(b: Delta, p: Node, ell: int, nu: int) -> Delta:
-    """The canonical move from P.child(ell), ending P's block, to Q.child(nu),
-    starting Q's, by docs/boundary-moves.md from b = P -> Q and p, P's node."""
-    k, rpl = p.size + 1, p.last - 1
-    if b.remove_at < k - 1 or ell == nu < rpl:  # lemmas A and B2
-        return b
-    r = k - 2 if ell == nu == rpl + 1 else k  # lemma B3, else B1
-    return _new_delta((r, b.insert_at, b.insert_level))
+def _boundary(p: Node, ell: int, q: Node, nu: int) -> Delta:
+    """The canonical move from p.child(ell), ending p's block, to q.child(nu),
+    starting the next, for consecutive trees p != q of one level.
+
+    Each pair on the two chains up to the pair that shares a parent is a
+    boundary one level down, and docs/boundary-moves.md derives its move
+    from the pair below's by changing only the removal r: the lowest pair
+    with ell == nu != rpl (lemma B2 or B3) fixes r, else r is the top's last
+    entry.  The walk reads the same pairs as the proof (_replays_to).
+    """
+    r = p.size + 1
+    while True:
+        rpl = p.last - 1
+        if ell == nu != rpl:  # lemma B2, or B3 at rpl + 1
+            r = p.size if ell < rpl else p.size - 1
+        c = p.up
+        if c is q.up:
+            break
+        ell, nu, p, q = rpl, q.last - 1, c, q.up
+    # The sibling move into q, inserted as relations._sibling_move inserts.
+    v = q.last
+    return _new_delta((r, c.size + 1 - (c.run if c.last == v else 0), v))
 
 
 def _tree(node: Node) -> OrderedTree:
@@ -167,18 +176,17 @@ def _advance(
 ) -> Optional[Delta]:
     """Start level k's next block and return the move into its first child.
 
-    The new lookahead is the next child that level k-1 hands up, with the
-    move into it from the child it handed up before, if moves are derived.
-    If level k-1 is due, the walk goes down to the highest level below with
-    a child to hand up, or to one that has run out (then the lookahead is
-    None, or the error that level kept is raised); on the way back up each
-    due level starts its next block with the tree handed up from below and
-    hands up its first child.  If any level is proven, each derives the
-    move into its new first child; at or above `proven` it proves that move
+    The new lookahead is the next child that level k-1 hands up.  If level
+    k-1 is due, the walk goes down to the highest level below with a child
+    to hand up, or to one that has run out (then the lookahead is None, or
+    the error that level kept is raised); on the way back up each due level
+    starts its next block with the tree handed up from below and hands up
+    its first child.  A level at or above `proven` derives the move into its
+    new first child from the two parents' chains (_boundary) and proves it
     by replay from the used-up block's last child (relations._replays_to),
     which reads only the entries above the node the two ends share.  Else
-    the move is None.  A child is a family-tree node, built in O(1); the
-    top level builds none.
+    the move is None.  A child is a family-tree node, built in O(1); the top
+    level builds none.
 
     Then up to `ahead` due levels start their next block ahead of need, one
     after another: each time the highest due level whose level below is not
@@ -191,7 +199,6 @@ def _advance(
     goes past leaves it.  Only the top's walk goes past due levels, and
     they are the highest ones, so each is the last entry.
     """
-    derive = proven < len(levels)  # checked, or a move stream
     rolled, move = 0, None
     try:
         while True:
@@ -208,17 +215,9 @@ def _advance(
             while True:
                 pos = below.pos
                 if pos == len(below.order):
-                    t = b = None
+                    t = None
                 else:
-                    i = below.order[pos]
-                    cur = below.cur
-                    t = cur.child(i)
-                    if not pos:
-                        b = below.m
-                    elif derive:
-                        b = _sibling_move(cur, i + 1)
-                    else:
-                        b = None
+                    t = below.cur.child(below.order[pos])
                     below.pos = pos = pos + 1
                     if pos == len(below.order) and below.nxt is not None:
                         insort(due, j)
@@ -227,15 +226,13 @@ def _advance(
                         stats.emitted[j] += 1
                 j += 1
                 lv = levels[j]
-                m = end = None
-                if derive and lv.order:
-                    m = _boundary_move(lv.b, lv.cur, lv.order[-1], lv.lm)
-                    if j >= proven:
-                        # The used-up block's last child, and where that block stood.
-                        end, ell = lv.cur, lv.order[-1]
-                        end_case, end_index = lv.case, lv.index
+                end = m = None
+                if j >= proven and lv.order:
+                    # The used-up block's last child, and where that block stood.
+                    end, ell = lv.cur, lv.order[-1]
+                    end_case, end_index = lv.case, lv.index
                 lv.cur = cur = lv.nxt
-                lv.nxt, lv.b = t, b
+                lv.nxt = t
                 lv.index += 1
                 if t is None:
                     case, order = Case.LAST, plan_last(cur, lv.lm)
@@ -250,11 +247,12 @@ def _advance(
                         level=j - 1, position=lv.index, case=case,
                         trees=(_tree(cur), _tree(t)),
                     )
-                lv.case, lv.order, lv.pos, lv.m = case, order, 0, m
+                lv.case, lv.order, lv.pos = case, order, 0
                 if end is not None:
                     nu = order[0]
                     if not 1 <= nu <= cur.last:
                         raise _child_error(cur, nu)
+                    m = _boundary(end, ell, cur, nu)
                     if not _replays_to(end, ell, cur, nu, m):
                         trees = _tree(end).child(ell), _tree(cur).child(nu)
                         raise AdjacencyViolationError(
@@ -297,10 +295,11 @@ def _blocks(
     code lists them: (parent, order, move), where parent is that tree's
     family-tree node, the records are its children with the child indices
     in order, and move is the canonical Delta into the first of them from
-    the last record of the block before.  It is derived when checked or with
-    moves=True and None otherwise (and always for the first block).  Before
-    a block is yielded its boundary is proven as gray_code proves it, and
-    each of its child indices is checked against the parent, with
+    the last record of the block before, derived where the top proves the
+    boundary: when checked or with moves=True, else None (and always for
+    the first block).  Levels below the top derive moves only when checked.
+    Before a block is yielded its boundary is proven as gray_code proves it,
+    and each of its child indices is checked against the parent, with
     Node.child's error; below the top, Node.child checks each index as the
     child is handed up.  So no reader of the blocks checks an index again.
     n must be at least 2: the one tree of size 1 has no parent.
@@ -397,8 +396,8 @@ def gray_code(
     stack, is proven once, where the next block starts.  With moves=True only
     the first tree is yielded, followed by the canonical Delta of each step
     (the same as relations.delta gives); sibling steps are read off the child
-    index, and each boundary move is derived from the move below and proven
-    by replay, checked or not.  Pass a StreamStats to collect counters.
+    index, and each boundary move is derived from the two parents' chains and
+    proven by replay, checked or not.  Pass a StreamStats to collect counters.
     """
     _check_size(n, 1)
     return _records(n, checked, moves, stats)

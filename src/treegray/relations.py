@@ -9,7 +9,7 @@ level tuple) instead of trusting the search.  _sibling_move gives it with no
 search when both trees are children of one tree; _sibling_moves gives all
 the moves within one block of siblings, as Deltas and as text, built from
 _sibling_move once per block shape and cached.  The generator derives every
-other move from _sibling_move and proves it with the same replay
+other move by _sibling_move's rule and proves it with the same replay
 (_replays_to).  The replay's checks live in one place, _replay_in_place,
 which edits a mutable level list; the oracle's certifier replays a whole
 move stream on one such list.  Copying, used by the ordering rules, is the

@@ -25,6 +25,7 @@ from treegray import (
     gray_code,
     is_adjacent,
 )
+from treegray.cli import _gen_writes
 from treegray.generator import _blocks
 from treegray.tree import Node
 
@@ -154,18 +155,59 @@ def test_blocks_flatten_to_the_gray_code(checked, moves):
     # Each block is the children of one parent in code order.  The top level
     # derives the move into a block's first child exactly where it proves the
     # boundary: every block but the first, when checked or for a move stream.
+    # The first 5,000 records at n=100 and 1000 reach boundaries whose
+    # parents' chains meet much further down than any at n <= 9.
     proven = checked or moves
-    for n in range(2, 10):
-        flat = []
+    for n, limit in [*((n, None) for n in range(2, 10)), (100, 5000), (1000, 5000)]:
+        want = itertools.islice(gray_code(n, checked=checked), limit)
+        last, count = None, 0
         for parent, order, move in _blocks(n, checked, moves, None):
             children = [OrderedTree(parent.levels).child(i) for i in order]
-            if flat and proven:
-                assert apply_delta(flat[-1], move) == children[0]
-                assert move == delta(flat[-1], children[0])
+            if last is not None and proven:
+                assert apply_delta(last, move) == children[0]
+                assert move == delta(last, children[0]), (n, count)
             else:
                 assert move is None
-            flat += children
-        assert flat == list(gray_code(n, checked=checked)), n
+            for child in children[: None if limit is None else limit - count]:
+                assert child == next(want), (n, count)
+                count += 1
+            last = children[-1]
+            if count == limit:
+                break
+        assert next(want, None) is None and count == (limit or catalan(n - 1)), n
+
+
+def test_boundary_moves_are_derived_only_where_they_are_proven(monkeypatch):
+    # No level carries a move: _boundary runs once for each boundary a level
+    # proves, at every level above the first when checked, only at the top of
+    # an unchecked move stream (and so of gen's delta text), and never for an
+    # unchecked tree stream or gen's levels and parens text.
+    def run(n, checked, mode):
+        if isinstance(mode, str):  # gen's text in that format
+            return "".join(_gen_writes(n, mode, checked))
+        return list(gray_code(n, checked=checked, moves=mode))
+
+    modes = [(c, m) for c in (True, False) for m in (False, True, "levels", "parens", "delta")]
+    before = {(n, *mode): run(n, *mode) for n in range(2, 11) for mode in modes}
+    real, calls = treegray.generator._boundary, [0]
+
+    def boundary(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(treegray.generator, "_boundary", boundary)
+    for n in range(2, 11):
+        top = catalan(n - 2) - 1
+        every = sum(catalan(k - 2) - 1 for k in range(3, n + 1))
+        for checked, mode in modes:
+            calls[0] = 0
+            assert run(n, checked, mode) == before[n, checked, mode], (n, checked, mode)
+            if checked:
+                want = every
+            else:
+                want = top if mode in (True, "delta") else 0
+            assert calls[0] == want, (n, checked, mode)
+    assert (top, every) == (1429, 2047)
 
 
 @pytest.mark.parametrize("moves", [False, True], ids=["trees", "moves"])
