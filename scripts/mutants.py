@@ -128,7 +128,8 @@ MUTANTS = [
         "end, ell = lv.cur, lv.order[-1]",
         "end, ell = lv.cur, lv.order[0]",
     ),
-    # The boundary move, derived from the two parents' chains.
+    # The boundary move, derived from the two parents' chains in the walk
+    # that collects the suffixes its proof replays.
     Mutant(
         "boundary-insert-ignores-the-run",
         "src/treegray/generator.py",
@@ -140,6 +141,14 @@ MUTANTS = [
         "src/treegray/generator.py",
         "if ell == nu != rpl:",
         "if ell == nu != rpl + 1:",
+    ),
+    Mutant(
+        "boundary-lists-miss-the-shared-pair",
+        "src/treegray/generator.py",
+        "        ts.append(p.last)\n        us.append(q.last)\n"
+        "        c = p.up\n        if c is q.up:\n            break\n",
+        "        c = p.up\n        if c is q.up:\n            break\n"
+        "        ts.append(p.last)\n        us.append(q.last)\n",
     ),
     Mutant(
         "proof-replays-onto-itself",
@@ -177,8 +186,8 @@ MUTANTS = [
     Mutant(
         "proof-run-one-short",
         "src/treegray/relations.py",
-        "elif t.run > s - lo:",
-        "elif t.run >= s - lo:",
+        "elif c.run > s - lo:",
+        "elif c.run >= s - lo:",
     ),
     Mutant(
         "sibling-move-run-off-by-one",

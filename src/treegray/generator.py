@@ -26,12 +26,12 @@ current/lookahead pair of each level is retained, so the state does not
 grow with the number of trees emitted.
 
 Siblings in a block are adjacent by construction.  No level carries a move:
-a proven level derives each boundary's from the two parents' chains
-(_boundary, by docs/boundary-moves.md), so none is searched for, and
-replays it from the used-up block's last child to the new block's first on
-the suffixes above the node the two share (relations._replays_to).  The top
-level hands out blocks (_blocks): a parent node, its child order and, where
-the boundary is proven, the move into the first child; it checks every
+at a proven boundary one walk up the two parents' chains (_boundary) derives
+the move, by docs/boundary-moves.md, so none is searched for, and collects
+the suffixes above the node the two share, on which relations._replays_to
+replays it from the used-up block's last child to the new block's first.
+The top hands out blocks (_blocks): a parent node, its child order and,
+where the boundary is proven, the move into the first child; it checks every
 child index and builds no tree of size n.  gray_code flattens them into
 trees, each block's parent spliced from the one before, or with moves=True
 into the first tree followed by each step's canonical relations.Delta, read
@@ -138,28 +138,34 @@ class _Level:
         self.err: Optional[Exception] = None
 
 
-def _boundary(p: Node, ell: int, q: Node, nu: int) -> Delta:
+def _boundary(p: Node, ell: int, q: Node, nu: int) -> Optional[Delta]:
     """The canonical move from p.child(ell), ending p's block, to q.child(nu),
-    starting the next, for consecutive trees p != q of one level.
+    starting the next, for consecutive trees p != q of one level, or None if
+    it does not replay.
 
-    Each pair on the two chains up to the pair that shares a parent is a
-    boundary one level down, and docs/boundary-moves.md derives its move
-    from the pair below's by changing only the removal r: the lowest pair
-    with ell == nu != rpl (lemma B2 or B3) fixes r, else r is the top's last
-    entry.  The walk reads the same pairs as the proof (_replays_to).
+    One walk goes up the two chains to the pair that shares a parent c.  Each
+    pair on it is a boundary one level down, and docs/boundary-moves.md
+    derives its move from the pair below's by changing only the removal r:
+    the lowest pair with ell == nu != rpl (lemma B2 or B3) fixes r, else r is
+    the top's last entry.  The walk also collects the two children's entries
+    above c, on which relations._replays_to replays the move.
     """
     r = p.size + 1
+    ts, us = [ell + 1], [nu + 1]
     while True:
         rpl = p.last - 1
         if ell == nu != rpl:  # lemma B2, or B3 at rpl + 1
             r = p.size if ell < rpl else p.size - 1
+        ts.append(p.last)
+        us.append(q.last)
         c = p.up
         if c is q.up:
             break
         ell, nu, p, q = rpl, q.last - 1, c, q.up
     # The sibling move into q, inserted as relations._sibling_move inserts.
     v = q.last
-    return _new_delta((r, c.size + 1 - (c.run if c.last == v else 0), v))
+    d = _new_delta((r, c.size + 1 - (c.run if c.last == v else 0), v))
+    return d if _replays_to(c, ts, us, d) else None
 
 
 def _tree(node: Node) -> OrderedTree:
@@ -182,11 +188,11 @@ def _advance(
     the error that level kept is raised); on the way back up each due level
     starts its next block with the tree handed up from below and hands up
     its first child.  A level at or above `proven` derives the move into its
-    new first child from the two parents' chains (_boundary) and proves it
-    by replay from the used-up block's last child (relations._replays_to),
-    which reads only the entries above the node the two ends share.  Else
-    the move is None.  A child is a family-tree node, built in O(1); the top
-    level builds none.
+    new first child and proves it by replay from the used-up block's last
+    child in one walk of the two parents' chains (_boundary), which reads
+    only the entries above the node they share; a move that does not replay
+    raises AdjacencyViolationError.  Else the move is None.  A child is a
+    family-tree node, built in O(1); the top level builds none.
 
     Then up to `ahead` due levels start their next block ahead of need, one
     after another: each time the highest due level whose level below is not
@@ -253,7 +259,7 @@ def _advance(
                     if not 1 <= nu <= cur.last:
                         raise _child_error(cur, nu)
                     m = _boundary(end, ell, cur, nu)
-                    if not _replays_to(end, ell, cur, nu, m):
+                    if m is None:
                         trees = _tree(end).child(ell), _tree(cur).child(nu)
                         raise AdjacencyViolationError(
                             f"adjacency violation in case {end_case} at level {j} "

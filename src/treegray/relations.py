@@ -10,16 +10,18 @@ search when both trees are children of one tree; _sibling_moves gives all
 the moves within one block of siblings, as Deltas and as text, built from
 _sibling_move once per block shape and cached.  The generator derives every
 other move by _sibling_move's rule and proves it with the same replay
-(_replays_to).  The replay's checks live in one place, _replay_in_place,
-which edits a mutable level list; the oracle's certifier replays a whole
-move stream on one such list.  Copying, used by the ordering rules, is the
-restricted form: U arises from T by appending a new rightmost leaf, then
-deleting some other leaf.
+(_replays_to), on the suffixes that the derivation's one walk collects.
+The replay's checks live in one place, _replay_in_place, which edits a
+mutable level list; the oracle's certifier replays a whole move stream on
+one such list.  Copying, used by the ordering rules, is the restricted
+form: U arises from T by appending a new rightmost leaf, then deleting some
+other leaf.
 
 The generator holds its trees as family-tree nodes (tree.Node), so
-_sibling_move, _copying and _replays_to take nodes and read only the
-entries above the node two trees share; is_copying and the replay on level
-tuples stay as the oracle's independent reference.
+_sibling_move and _copying take nodes, and _replays_to the node two trees
+share and their entries above it; each reads only those entries.
+is_copying and the replay on level tuples stay as the oracle's independent
+reference.
 """
 from __future__ import annotations
 
@@ -273,41 +275,33 @@ def _replay(levels: tuple[int, ...], d: Delta) -> tuple[int, ...]:
     return tuple(short)
 
 
-def _replays_to(t: Node, i: int, u: Node, j: int, d: Delta) -> bool:
-    """True iff d replays on the levels of t.child(i), with every check of
-    apply_delta, to those of u.child(j); t and u are nodes of one size in
-    one family tree, i and j valid child indices, and the two children
-    distinct trees, as the two ends of a block boundary are.
+def _replays_to(c: Node, ts: list[int], us: list[int], d: Delta) -> bool:
+    """True iff d replays, with every check of apply_delta, on the levels of
+    one child to those of another, distinct from it, as the two ends of a
+    block boundary are.  c is the deepest node their chains share, and ts and
+    us, which are edited, their entries above c from the last one down, as
+    generator._boundary's walk collects them.
 
     A replay edits only the entries from the lower to the higher of d's two
-    positions and reads the one below them.  Let c be the deepest node the
-    chains share, of size s, so the two children agree up to position s.  If
-    the edits lie at or below s, the result differs from u's child above s.
-    If they lie above s, the replay runs on the entries from position s up
-    and the result is compared with the other child's.  If the lower
-    position is at or below s, the result matches only when the entries from
-    it to s are one run, of c's last level: a level the move inserts there
-    equals them, and one it removes there could be removed at any entry of
-    the run.  Then c's run covers them, the checks read there pass by the
-    tree's validity, and the run stands as one entry of its level, after
-    one more of it for the entry below.  Either way the replay reads and
-    compares every entry the move can change, in time for the two suffixes
-    above c.
+    positions and reads the one below them.  Let s be c's size, so the two
+    children agree up to position s.  If the edits lie at or below s, the
+    result differs from the other child above s.  If they lie above s, the
+    replay runs on the entries from position s up and the result is
+    compared with the other child's.  If the lower position is at or below
+    s, the result matches only when the entries from it to s are one run,
+    of c's last level: a level the move inserts there equals them, and one
+    it removes there could be removed at any entry of the run.  Then c's
+    run covers them, the checks read there pass by the tree's validity, and
+    the run stands as one entry of its level, after one more of it for the
+    entry below.  Either way the replay reads and compares every entry the
+    move can change, in time for the two suffixes above c.
     """
-    size = t.size + 1
+    s, last = c.size, c.last
+    size = s + len(ts)
     r, p, v = d
     if not (2 <= r <= size and 2 <= p <= size):
         return False  # out of range: apply_delta raises
-    ts, us = [i + 1], [j + 1]
-    while t is not u:
-        ts.append(t.last)
-        us.append(u.last)
-        t, u = t.up, u.up
-    s, last = t.size, t.last
-    if r < p:
-        lo, hi = r, p
-    else:
-        lo, hi = p, r
+    lo, hi = (r, p) if r < p else (p, r)
     if hi <= s:
         return False
     if lo > s:  # the lists hold positions s..size
@@ -315,7 +309,7 @@ def _replays_to(t: Node, i: int, u: Node, j: int, d: Delta) -> bool:
         us.append(last)
         r -= s - 1
         p -= s - 1
-    elif t.run > s - lo:  # position s stands for the run from lo to s
+    elif c.run > s - lo:  # position s stands for the run from lo to s
         ts += (last, last)
         us += (last, last)
         r = 2 if r == lo else r - s + 2

@@ -193,6 +193,38 @@ def test_gen_output_file(tmp_path, capsys):
     assert path.read_text() == stdout_version
 
 
+@pytest.mark.parametrize("fmt", ["delta", "parens"])
+def test_check_text_script_checks_gen_text_and_its_count(tmp_path, capsys, fmt):
+    # scripts/check_text.py, which CI runs on the whole text of larger n,
+    # replays or decodes gen's text against its levels text and checks the
+    # record count: a wrong count fails, and so does a missing record.
+    text, levels = tmp_path / fmt, tmp_path / "levels"
+    assert run(capsys, "gen", "--n", "8", "--format", fmt, "--output", str(text))[0] == 0
+    assert run(capsys, "gen", "--n", "8", "--output", str(levels))[0] == 0
+    script = Path(__file__).resolve().parents[1] / "scripts" / "check_text.py"
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def check(count):
+        return subprocess.run(
+            [sys.executable, "-W", "error", str(script), fmt, str(text), str(levels), str(count)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    proc = check(catalan(7))
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    proc = check(catalan(7) + 1)
+    assert proc.returncode == 1
+    assert proc.stderr == f"check_text: {catalan(7)} records, expected {catalan(7) + 1}\n"
+    lines = text.read_text().splitlines(keepends=True)
+    text.write_text("".join(lines[:-1]))
+    proc = check(catalan(7))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"check_text: record {catalan(7)}: None against levels ")
+
+
 def test_gen_unchecked_same_output(capsys):
     _, checked, _ = run(capsys, "gen", "--n", "7")
     _, unchecked, _ = run(capsys, "gen", "--n", "7", "--unchecked")

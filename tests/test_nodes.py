@@ -6,8 +6,10 @@ from one run as the generator holds them, the node forms of copying, the
 pony-tail, the sibling move and the boundary proof must agree with
 relations.is_copying, has_pony_tail, a walk over the level tuple and
 relations._replay.  The proof is also run on every move of every pair of
-small trees, and on a deep prefix whose moves reach into long runs.  The
-walks to the shared node must take O(1) steps per call on average.
+small trees, and on a deep prefix whose moves reach into long runs; the
+boundary move, derived and proven in one walk, on every pair of child
+indices of consecutive trees.  The walks to the shared node must take O(1)
+steps per call on average.
 """
 import itertools
 from collections import Counter
@@ -19,6 +21,7 @@ import treegray.ordering
 import treegray.relations
 from treegray import (
     OrderedTree,
+    apply_delta,
     delta,
     enumerate_all,
     gray_code,
@@ -26,7 +29,7 @@ from treegray import (
     is_adjacent,
     is_copying,
 )
-from treegray.generator import _blocks
+from treegray.generator import _blocks, _boundary
 from treegray.ordering import _pony
 from treegray.relations import _copying, _replay, _replays_to, _sibling_move
 from treegray.tree import Node, _nodes
@@ -45,6 +48,17 @@ def _replays(t, u, d):
         return _replay(t.levels, d) == u.levels
     except ValueError:
         return False
+
+
+def _proof(a, i, b, j, d):
+    # relations._replays_to on the node a and b share and the two children's
+    # entries above it, collected as generator._boundary's walk collects them.
+    ts, us = [i + 1], [j + 1]
+    while a is not b:
+        ts.append(a.last)
+        us.append(b.last)
+        a, b = a.up, b.up
+    return _replays_to(a, ts, us, d)
 
 
 def _near(d):
@@ -111,7 +125,7 @@ def test_node_forms_agree_on_consecutive_pairs(k):
             if is_adjacent(ca, cb):
                 moves |= _near(delta(ca, cb))
             for d in moves:
-                assert _replays_to(a, i, b, j, d) == _replays(ca, cb, d), (ca, cb, d)
+                assert _proof(a, i, b, j, d) == _replays(ca, cb, d), (ca, cb, d)
 
 
 @pytest.mark.parametrize("size", [3, 4, 5])
@@ -128,7 +142,7 @@ def test_proof_agrees_with_the_replay_on_every_move(size):
                 continue
             fields = range(1, size + 3), range(1, size + 3), range(1, size + 2)
             for d in itertools.product(*fields):
-                assert _replays_to(a, i, b, j, d) == _replays(ca, cb, d), (ca, cb, d)
+                assert _proof(a, i, b, j, d) == _replays(ca, cb, d), (ca, cb, d)
 
 
 def test_proof_agrees_with_the_replay_where_moves_reach_into_long_runs():
@@ -151,16 +165,38 @@ def test_proof_agrees_with_the_replay_where_moves_reach_into_long_runs():
                 for p in (2, 3, shared.size, shared.size + 1, 41):
                     for v in (2, 3, shared.last, ca.levels[-1]):
                         d = (r, p, v)
-                        got = _replays_to(a, i, b, j, d)
+                        got = _proof(a, i, b, j, d)
                         assert got == _replays(ca, cb, d), (ca, cb, d)
                         tried[got, min(r, p) <= shared.size] += 1
     # Both outcomes occur with the low end of the move in the shared run.
     assert tried[True, True] and tried[False, True] and tried[True, False]
 
 
+@pytest.mark.parametrize("k", range(3, 9))
+def test_boundary_moves_replay_on_every_pair_of_child_indices(k):
+    # Every consecutive pair P, Q of level k and every pair of child indices,
+    # not only the last of P's block and the first of Q's that the plan picks:
+    # a move _boundary returns replays to Q's child, and on the plan's pairs
+    # it returns the canonical move.
+    blocks = list(_blocks(k + 1, False, False, None))
+    seen = Counter()
+    for (a, order_a, _), (b, order_b, _) in itertools.pairwise(blocks):
+        ta, tb = OrderedTree(a.levels), OrderedTree(b.levels)
+        for i, j in itertools.product(range(1, a.last + 1), range(1, b.last + 1)):
+            ca, cb = ta.child(i), tb.child(j)
+            d = _boundary(a, i, b, j)
+            if (i, j) == (order_a[-1], order_b[0]):
+                assert d == delta(ca, cb), (ca, cb)
+            elif d is not None:
+                assert apply_delta(ca, d) == cb, (ca, cb, d)
+            seen[d is None] += 1
+    assert seen[True] and seen[False], seen
+
+
 def _walk_steps(monkeypatch, n, records, moves):
     # Steps each call of _copying and of _replays_to takes to the node its
-    # two chains share, over the first `records` records of gray_code(n).
+    # two chains share, over the first `records` records of gray_code(n): a
+    # proof's lists hold one pair's entries per step after the children's.
     steps = {"copying": Counter(), "proof": Counter()}
 
     def depth(t, u):
@@ -176,9 +212,9 @@ def _walk_steps(monkeypatch, n, records, moves):
         steps["copying"][depth(t, u)] += 1
         return copying(t, u)
 
-    def counted_proof(t, i, u, j, d):
-        steps["proof"][depth(t, u)] += 1
-        return proof(t, i, u, j, d)
+    def counted_proof(c, ts, us, d):
+        steps["proof"][len(ts) - 1] += 1
+        return proof(c, ts, us, d)
 
     monkeypatch.setattr(treegray.ordering, "_copying", counted_copying)
     monkeypatch.setattr(treegray.generator, "_replays_to", counted_proof)
